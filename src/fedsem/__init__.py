@@ -32,7 +32,6 @@ from .federation import (
     initial_params,
     run_fedavg,
     run_round,
-    sample_clients,
     training_view,
 )
 from .metrics import (
@@ -120,7 +119,6 @@ __all__ = [
     "run_phase1",
     "run_phase2",
     "run_round",
-    "sample_clients",
     "save_csv",
     "split_train_test",
     "summarize",

@@ -26,7 +26,7 @@ from .config import ExperimentConfig, load_config
 from .data import generate_synthetic, load_csv, mask_labels, partition, save_csv, split_train_test
 from .errors import ConfigError
 from .federation import run_fedavg
-from .metrics import SummaryRow, export_history, render_summary, summarize
+from .metrics import SummaryRow, export_history, render_summary
 from .protocol import run_fedsem
 
 TRAIN_RATIO = 0.8
@@ -73,7 +73,7 @@ def _prepare_data(config: ExperimentConfig):
 
 
 def _execute(config: ExperimentConfig, dataset, shards):
-    """Run one experiment; returns (history, result payload, summary text)."""
+    """Run one experiment; returns (history, result payload)."""
     fed = config.federation
     common = {
         "clients": fed.num_clients,
@@ -84,17 +84,11 @@ def _execute(config: ExperimentConfig, dataset, shards):
     }
     if config.fedsem is not None:
         result = run_fedsem(config.fedsem, shards, dataset)
-        row = summarize(
-            result,
-            labeled_fraction=config.labels.labeled_fraction,
-            rounds=fed.rounds,
-            epochs=fed.local_epochs,
-        )
         history = result.history
         payload = dict(
             common,
             mode="fedsem",
-            labeled_percent=row.labeled_percent,
+            labeled_percent=config.labels.labeled_fraction * 100.0,
             phase1_rounds=sum(1 for r in history if r.phase == "phase1"),
             phase2_rounds=sum(1 for r in history if r.phase == "phase2"),
             accuracy_phase1=result.accuracy_phase1,
@@ -106,49 +100,60 @@ def _execute(config: ExperimentConfig, dataset, shards):
             model_phase1_sha256=_params_digest(result.model_phase1),
             model_phase2_sha256=_params_digest(result.model_phase2),
         )
-        summary_text = render_summary([row])
     else:
         state = run_fedavg(fed, shards, dataset, labeled_only=False)
         history = state.history
-        best = max(r.test_accuracy for r in history) if history else float("nan")
         payload = dict(
             common,
             mode="fedavg",
-            best_accuracy=best,
+            best_accuracy=max(r.test_accuracy for r in history) if history else float("nan"),
             final_test_accuracy=history[-1].test_accuracy if history else None,
             final_test_loss=history[-1].test_loss if history else None,
             model_sha256=_params_digest(state.global_params),
         )
-        summary_text = (
-            "single-phase federated run\n"
-            f"rounds: {len(history)}\n"
-            f"best test accuracy: {best:.6f}\n"
+    return history, payload
+
+
+def render_run_summary(payload) -> str:
+    """The summary.txt text of a run, rendered from its result payload."""
+    if payload.get("mode") == "fedsem":
+        row = SummaryRow(
+            labeled_percent=payload["labeled_percent"],
+            rounds=payload["rounds"],
+            epochs=payload["local_epochs"],
+            accuracy_phase1=payload["accuracy_phase1"],
+            accuracy_phase2=payload["accuracy_phase2"],
+            gain=payload["gain"],
         )
-    return history, payload, summary_text
+        return render_summary([row])
+    return (
+        "single-phase federated run\n"
+        f"rounds: {payload['rounds']}\n"
+        f"best test accuracy: {payload['best_accuracy']:.6f}\n"
+    )
 
 
-def _write_outputs(out_dir: Path, history, payload, summary_text, formats) -> None:
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _write_outputs(out_dir: Path, history, payload, formats) -> str:
+    """Write every run artifact; returns the summary text."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in formats:
-        export_history(history, out_dir / "history.csv", "csv")
-    if "json" in formats:
-        export_history(history, out_dir / "history.json", "json")
-    with open(out_dir / "result.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    with open(out_dir / "summary.txt", "w", encoding="utf-8", newline="") as fh:
-        fh.write(summary_text)
+    for fmt in formats:
+        export_history(history, out_dir / f"history.{fmt}", fmt)
+    _write_text(out_dir / "result.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    summary_text = render_run_summary(payload)
+    _write_text(out_dir / "summary.txt", summary_text)
+    return summary_text
 
 
 def cmd_generate(args) -> int:
-    try:
-        dataset = generate_synthetic(args.samples, args.classes, args.dim, args.sep, args.seed)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    dataset = generate_synthetic(args.samples, args.classes, args.dim, args.sep, args.seed)
     try:
         out = Path(args.out)
-        if out.parent and not out.parent.exists():
-            out.parent.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
         save_csv(dataset, out, header=False)
         meta = {
             "d": args.dim,
@@ -158,8 +163,7 @@ def cmd_generate(args) -> int:
             "seed": args.seed,
             "separation": float(args.sep),
         }
-        with open(f"{out}.meta.json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _write_text(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"error writing dataset: {exc}", file=sys.stderr)
         return 1
@@ -169,20 +173,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config, overrides=args.override, seed=args.seed, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config, overrides=args.override, seed=args.seed, out_dir=args.out)
     out_dir = resolve_output_dir(config.output.directory)
     stage = "data setup"
     try:
         started = time.perf_counter()
         dataset, shards = _prepare_data(config)
         stage = "training"
-        history, payload, summary_text = _execute(config, dataset, shards)
+        history, payload = _execute(config, dataset, shards)
         stage = "writing outputs"
-        _write_outputs(out_dir, history, payload, summary_text, config.output.formats)
+        summary_text = _write_outputs(out_dir, history, payload, config.output.formats)
         elapsed = time.perf_counter() - started
     except ConfigError as exc:
         print(f"configuration error during {stage}: {exc}", file=sys.stderr)
@@ -199,7 +199,7 @@ def cmd_run(args) -> int:
 def _parse_axes(axis_args) -> list[tuple[str, list[str]]]:
     if not axis_args:
         raise ConfigError("sweep needs at least one --axis key=v1,v2,...")
-    axes = []
+    axes = {}
     for item in axis_args:
         if "=" not in item:
             raise ConfigError(f"axis must look like key=v1,v2, got {item!r}")
@@ -207,22 +207,22 @@ def _parse_axes(axis_args) -> list[tuple[str, list[str]]]:
         key = key.strip()
         if key not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {key!r}, expected one of {sorted(SWEEP_AXES)}")
+        if key in axes:
+            raise ConfigError(f"sweep axis {key} repeated")
         values = [v.strip() for v in raw_values.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"axis {key} has no values")
-        axes.append((key, values))
-    return axes
+        if len(set(values)) < len(values):
+            raise ConfigError(f"axis {key} has repeated values: {raw_values.strip()}")
+        axes[key] = values
+    return list(axes.items())
 
 
 def cmd_sweep(args) -> int:
-    try:
-        axes = _parse_axes(args.axis)
-        base = load_config(args.config, overrides=args.override, seed=args.seed, out_dir=args.out)
-        if base.fedsem is None:
-            raise ConfigError("sweep requires a [fedsem] section in the config")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    axes = _parse_axes(args.axis)
+    base = load_config(args.config, overrides=args.override, seed=args.seed, out_dir=args.out)
+    if base.fedsem is None:
+        raise ConfigError("sweep requires a [fedsem] section in the config")
     out_root = resolve_output_dir(base.output.directory)
     rows: list[str] = []
     stage = "sweep setup"
@@ -240,12 +240,11 @@ def cmd_sweep(args) -> int:
                 out_dir=str(out_root / "cells" / slug),
             )
             dataset, shards = _prepare_data(config)
-            history, payload, summary_text = _execute(config, dataset, shards)
+            history, payload = _execute(config, dataset, shards)
             _write_outputs(
                 resolve_output_dir(config.output.directory),
                 history,
                 payload,
-                summary_text,
                 config.output.formats,
             )
             rows.append(
@@ -257,8 +256,7 @@ def cmd_sweep(args) -> int:
                 print(f"cell {slug}: gain {payload['gain']:.6f}")
         stage = "writing sweep.csv"
         out_root.mkdir(parents=True, exist_ok=True)
-        with open(out_root / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join([SWEEP_HEADER] + rows) + "\n")
+        _write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
     except ConfigError as exc:
         print(f"configuration error during {stage}: {exc}", file=sys.stderr)
         return 2
@@ -281,24 +279,8 @@ def cmd_report(args) -> int:
         print(f"cannot read result file: {exc}", file=sys.stderr)
         return 1
     try:
-        if payload.get("mode") == "fedsem":
-            row = SummaryRow(
-                labeled_percent=payload["labeled_percent"],
-                rounds=payload["rounds"],
-                epochs=payload["local_epochs"],
-                accuracy_phase1=payload["accuracy_phase1"],
-                accuracy_phase2=payload["accuracy_phase2"],
-                gain=payload["gain"],
-            )
-            summary_text = render_summary([row])
-        else:
-            summary_text = (
-                "single-phase federated run\n"
-                f"rounds: {payload['rounds']}\n"
-                f"best test accuracy: {payload['best_accuracy']:.6f}\n"
-            )
-        with open(path.parent / "summary.txt", "w", encoding="utf-8", newline="") as fh:
-            fh.write(summary_text)
+        summary_text = render_run_summary(payload)
+        _write_text(path.parent / "summary.txt", summary_text)
     except (KeyError, ValueError) as exc:
         print(f"malformed result file {path}: {exc}", file=sys.stderr)
         return 1
@@ -350,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
-from .data import PartitionSpec
+from .data import MASK_MODES, PartitionSpec
 from .errors import ConfigError
 from .federation import FederationConfig
 from .metrics import HISTORY_FORMATS
@@ -87,7 +87,7 @@ class LabelConfig:
             raise ConfigError(
                 f"labels.labeled_fraction must be in (0, 1], got {self.labeled_fraction}"
             )
-        if self.mask_mode not in ("per_client", "global"):
+        if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"unknown labels.mask_mode {self.mask_mode!r}")
         if self.mask_seed < 0:
             raise ConfigError("labels.mask_seed must be non-negative")
@@ -136,18 +136,24 @@ def _cast_str_tuple(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _get(section_raw: dict[str, str], section: str, key: str, cast, default):
-    if key not in section_raw:
+def _get(raw: dict[str, dict[str, str]], section: str, key: str, cast, default):
+    entries = raw.get(section, {})
+    if key not in entries:
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {section}.{key}")
         return default
-    raw = section_raw[key]
+    value = entries[key]
     try:
-        return cast(raw)
-    except ConfigError:
-        raise
+        return cast(value)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid value for {section}.{key}: {raw!r} ({exc})") from exc
+        raise ConfigError(f"invalid value for {section}.{key}: {value!r} ({exc})") from exc
+
+
+def _check_key(section: str, key: str | None = None) -> None:
+    if section not in _SCHEMA:
+        raise ConfigError(f"unknown config section [{section}]")
+    if key is not None and key not in _SCHEMA[section]:
+        raise ConfigError(f"unknown key {section}.{key}")
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, str]]:
@@ -159,11 +165,9 @@ def parse_config_text(text: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"config parse error: {exc}") from exc
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
     for section, entries in raw.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+        _check_key(section)
         for key in entries:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
+            _check_key(section, key)
     return raw
 
 
@@ -178,74 +182,63 @@ def apply_overrides(raw: dict[str, dict[str, str]], overrides) -> dict[str, dict
             raise ConfigError(f"override key must look like section.key, got {dotted!r}")
         section, key = dotted.split(".", 1)
         section, key = section.strip(), key.strip()
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {section}.{key}")
+        _check_key(section, key)
         out.setdefault(section, {})[key] = value.strip()
     return out
 
 
 def build_config(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
     """Turn raw section/key strings into a validated ExperimentConfig."""
-    ds_raw = raw.get("dataset", {})
-    part_raw = raw.get("partition", {})
-    labels_raw = raw.get("labels", {})
-    fed_raw = raw.get("federation", {})
-    out_raw = raw.get("output", {})
-
-    master_seed = _get(fed_raw, "federation", "master_seed", int, 0)
+    master_seed = _get(raw, "federation", "master_seed", int, 0)
 
     dataset = DatasetConfig(
-        source=_get(ds_raw, "dataset", "source", str, "synthetic"),
-        samples=_get(ds_raw, "dataset", "samples", int, 4000),
-        classes=_get(ds_raw, "dataset", "classes", int, 10),
-        dim=_get(ds_raw, "dataset", "dim", int, 16),
-        separation=_get(ds_raw, "dataset", "separation", float, 2.0),
-        seed=_get(ds_raw, "dataset", "seed", int, master_seed),
-        path=_get(ds_raw, "dataset", "path", str, None),
-        has_header=_get(ds_raw, "dataset", "has_header", _cast_bool, False),
+        source=_get(raw, "dataset", "source", str, "synthetic"),
+        samples=_get(raw, "dataset", "samples", int, 4000),
+        classes=_get(raw, "dataset", "classes", int, 10),
+        dim=_get(raw, "dataset", "dim", int, 16),
+        separation=_get(raw, "dataset", "separation", float, 2.0),
+        seed=_get(raw, "dataset", "seed", int, master_seed),
+        path=_get(raw, "dataset", "path", str, None),
+        has_header=_get(raw, "dataset", "has_header", _cast_bool, False),
     )
     partition = PartitionSpec(
-        scheme=_get(part_raw, "partition", "scheme", str, "iid"),
-        num_clients=_get(part_raw, "partition", "num_clients", int, 20),
-        shards_per_client=_get(part_raw, "partition", "shards_per_client", int, None),
-        alpha=_get(part_raw, "partition", "alpha", float, None),
-        seed=_get(part_raw, "partition", "seed", int, master_seed),
+        scheme=_get(raw, "partition", "scheme", str, "iid"),
+        num_clients=_get(raw, "partition", "num_clients", int, 20),
+        shards_per_client=_get(raw, "partition", "shards_per_client", int, None),
+        alpha=_get(raw, "partition", "alpha", float, None),
+        seed=_get(raw, "partition", "seed", int, master_seed),
     )
     labels = LabelConfig(
-        labeled_fraction=_get(labels_raw, "labels", "labeled_fraction", float, 1.0),
-        mask_mode=_get(labels_raw, "labels", "mask_mode", str, "per_client"),
-        mask_seed=_get(labels_raw, "labels", "mask_seed", int, master_seed),
+        labeled_fraction=_get(raw, "labels", "labeled_fraction", float, 1.0),
+        mask_mode=_get(raw, "labels", "mask_mode", str, "per_client"),
+        mask_seed=_get(raw, "labels", "mask_seed", int, master_seed),
     )
     federation = FederationConfig(
         num_clients=partition.num_clients,
-        clients_per_round=_get(fed_raw, "federation", "clients_per_round", int, 5),
-        rounds=_get(fed_raw, "federation", "rounds", int, _REQUIRED),
-        local_epochs=_get(fed_raw, "federation", "local_epochs", int, 10),
-        learning_rate=_get(fed_raw, "federation", "learning_rate", float, 0.0001),
-        batch_size=_get(fed_raw, "federation", "batch_size", int, 32),
-        solver=_get(fed_raw, "federation", "solver", str, "adam"),
-        aggregation=_get(fed_raw, "federation", "aggregation", str, "sample_weighted"),
+        clients_per_round=_get(raw, "federation", "clients_per_round", int, 5),
+        rounds=_get(raw, "federation", "rounds", int, _REQUIRED),
+        local_epochs=_get(raw, "federation", "local_epochs", int, 10),
+        learning_rate=_get(raw, "federation", "learning_rate", float, 0.0001),
+        batch_size=_get(raw, "federation", "batch_size", int, 32),
+        solver=_get(raw, "federation", "solver", str, "adam"),
+        aggregation=_get(raw, "federation", "aggregation", str, "sample_weighted"),
         master_seed=master_seed,
-        hidden_dims=_get(fed_raw, "federation", "hidden_dims", _cast_int_tuple, (32,)),
-        parallel_clients=_get(fed_raw, "federation", "parallel_clients", int, 1),
+        hidden_dims=_get(raw, "federation", "hidden_dims", _cast_int_tuple, (32,)),
+        parallel_clients=_get(raw, "federation", "parallel_clients", int, 1),
     )
     fedsem = None
     if "fedsem" in raw:
-        sem_raw = raw["fedsem"]
         fedsem = FedSemConfig(
             federation=federation,
-            phase_switch=_get(sem_raw, "fedsem", "phase_switch", str, "at_half_rounds"),
-            convergence_window=_get(sem_raw, "fedsem", "convergence_window", int, 5),
-            convergence_epsilon=_get(sem_raw, "fedsem", "convergence_epsilon", float, 0.005),
-            pseudo_label_threshold=_get(
-                sem_raw, "fedsem", "pseudo_label_threshold", float, 0.0
+            phase_switch=_get(raw, "fedsem", "phase_switch", str, "at_half_rounds"),
+            convergence_window=_get(raw, "fedsem", "convergence_window", int, 5),
+            convergence_epsilon=_get(raw, "fedsem", "convergence_epsilon", float, 0.005),
+            pseudo_label_threshold=_get(raw, "fedsem", "pseudo_label_threshold", float, 0.0
             ),
         )
     output = OutputConfig(
-        directory=_get(out_raw, "output", "directory", str, None),
-        formats=_get(out_raw, "output", "formats", _cast_str_tuple, ("csv", "json")),
+        directory=_get(raw, "output", "directory", str, None),
+        formats=_get(raw, "output", "formats", _cast_str_tuple, ("csv", "json")),
     )
     return ExperimentConfig(
         dataset=dataset,
@@ -273,75 +266,30 @@ def load_config(path, overrides=(), seed: int | None = None, out_dir: str | None
     return build_config(raw)
 
 
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config back to INI text; parse(serialize(c)) == c."""
+    """Render a config back to INI text in _SCHEMA order; parse(serialize(c)) == c.
 
-    def fmt(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        if isinstance(value, tuple):
-            return ",".join(str(v) for v in value)
-        return str(value)
-
-    lines = ["[dataset]"]
-    ds = config.dataset
-    lines.append(f"source = {ds.source}")
-    lines.append(f"samples = {ds.samples}")
-    lines.append(f"classes = {ds.classes}")
-    lines.append(f"dim = {ds.dim}")
-    lines.append(f"separation = {fmt(ds.separation)}")
-    lines.append(f"seed = {ds.seed}")
-    if ds.path is not None:
-        lines.append(f"path = {ds.path}")
-    lines.append(f"has_header = {fmt(ds.has_header)}")
-
-    part = config.partition
-    lines.append("")
-    lines.append("[partition]")
-    lines.append(f"scheme = {part.scheme}")
-    lines.append(f"num_clients = {part.num_clients}")
-    if part.shards_per_client is not None:
-        lines.append(f"shards_per_client = {part.shards_per_client}")
-    if part.alpha is not None:
-        lines.append(f"alpha = {fmt(float(part.alpha))}")
-    lines.append(f"seed = {part.seed}")
-
-    lab = config.labels
-    lines.append("")
-    lines.append("[labels]")
-    lines.append(f"labeled_fraction = {fmt(lab.labeled_fraction)}")
-    lines.append(f"mask_mode = {lab.mask_mode}")
-    lines.append(f"mask_seed = {lab.mask_seed}")
-
-    fed = config.federation
-    lines.append("")
-    lines.append("[federation]")
-    lines.append(f"clients_per_round = {fed.clients_per_round}")
-    lines.append(f"rounds = {fed.rounds}")
-    lines.append(f"local_epochs = {fed.local_epochs}")
-    lines.append(f"learning_rate = {fmt(fed.learning_rate)}")
-    lines.append(f"batch_size = {fed.batch_size}")
-    lines.append(f"solver = {fed.solver}")
-    lines.append(f"aggregation = {fed.aggregation}")
-    lines.append(f"master_seed = {fed.master_seed}")
-    lines.append(f"hidden_dims = {fmt(fed.hidden_dims)}")
-    lines.append(f"parallel_clients = {fed.parallel_clients}")
-
-    if config.fedsem is not None:
-        sem = config.fedsem
-        lines.append("")
-        lines.append("[fedsem]")
-        lines.append(f"phase_switch = {sem.phase_switch}")
-        lines.append(f"convergence_window = {sem.convergence_window}")
-        lines.append(f"convergence_epsilon = {fmt(sem.convergence_epsilon)}")
-        lines.append(f"pseudo_label_threshold = {fmt(sem.pseudo_label_threshold)}")
-
-    out = config.output
-    lines.append("")
-    lines.append("[output]")
-    if out.directory is not None:
-        lines.append(f"directory = {out.directory}")
-    lines.append(f"formats = {fmt(out.formats)}")
-    return "\n".join(lines) + "\n"
+    Keys whose value is None, and an absent [fedsem] section, are omitted.
+    """
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        values = getattr(config, section)
+        if values is None:
+            continue
+        lines = [f"[{section}]"]
+        for key in keys:
+            value = getattr(values, key)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value)}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

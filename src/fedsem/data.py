@@ -155,6 +155,8 @@ def generate_synthetic(
         raise ConfigError(f"dim must be >= 2, got {dim}")
     if class_separation <= 0:
         raise ConfigError(f"class_separation must be positive, got {class_separation}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
     centers *= class_separation / np.linalg.norm(centers, axis=1, keepdims=True)
@@ -229,10 +231,6 @@ def save_csv(dataset: Dataset, path, header: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _subset_sizes(counts: list[int]) -> np.ndarray:
-    return np.array(counts, dtype=np.int64)
-
-
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
     """Distribute all sample indices across clients per ``spec``.
 
@@ -274,12 +272,12 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
             cuts = (np.cumsum(shares) * members.size).astype(np.int64)[:-1]
             for client, segment in enumerate(np.split(members, cuts)):
                 buckets[client].extend(int(i) for i in segment)
-        sizes = _subset_sizes([len(b) for b in buckets])
-        while sizes.min() == 0:
+        sizes = [len(b) for b in buckets]
+        while min(sizes) == 0:
             donor = int(np.argmax(sizes))
             needy = int(np.argmin(sizes))
             buckets[needy].append(buckets[donor].pop())
-            sizes = _subset_sizes([len(b) for b in buckets])
+            sizes = [len(b) for b in buckets]
         allocations = [np.array(b, dtype=np.int64) for b in buckets]
 
     return [

@@ -13,6 +13,7 @@ produce bit-identical results.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -108,22 +109,6 @@ def _round_order(master_seed: int, round_index: int, eligible) -> list[int]:
     ids = sorted(int(c) for c in set(eligible))
     rng = np.random.default_rng(derive_seed(master_seed, round_index))
     return [ids[i] for i in rng.permutation(len(ids))]
-
-
-def sample_clients(
-    num_clients: int,
-    clients_per_round: int,
-    round_index: int,
-    master_seed: int,
-    eligible=None,
-) -> list[int]:
-    """Uniform sample without replacement, seeded by (master_seed, round)."""
-    pool = list(range(num_clients)) if eligible is None else sorted(set(eligible))
-    if clients_per_round > len(pool):
-        raise ConfigError(
-            f"cannot sample {clients_per_round} clients from {len(pool)} eligible"
-        )
-    return sorted(_round_order(master_seed, round_index, pool)[:clients_per_round])
 
 
 def training_view(shard: ClientShard, dataset: Dataset, labeled_only: bool) -> np.ndarray:
@@ -284,8 +269,14 @@ def run_fedavg(
     start_params: ModelParams | None = None,
     start_round: int = 0,
     phase: str = "phase1",
+    stop: Callable[[tuple[RoundRecord, ...]], bool] | None = None,
 ) -> ServerState:
-    """Run the federated loop for ``rounds`` rounds (default: config.rounds)."""
+    """Run up to ``rounds`` federated rounds (default: config.rounds).
+
+    Starts from ``start_params`` (default: the seeded initial model) at
+    round index ``start_round``. ``stop``, if given, sees this call's
+    history after each round; a true result ends the loop early.
+    """
     n_rounds = config.rounds if rounds is None else rounds
     if n_rounds < 0:
         raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
@@ -293,4 +284,6 @@ def run_fedavg(
     state = ServerState(global_params=params, round=start_round, history=())
     for _ in range(n_rounds):
         state = run_round(state, shards, dataset, config, labeled_only, phase)
+        if stop is not None and stop(state.history):
+            break
     return state

@@ -73,32 +73,43 @@ def gain(acc_phase1: float, acc_phase2: float) -> float:
     return (acc_phase2 - acc_phase1) / acc_phase2
 
 
+def _record_row(r: RoundRecord) -> dict:
+    return {
+        "round": r.round,
+        "phase": r.phase,
+        "test_accuracy": r.test_accuracy,
+        "test_loss": r.test_loss,
+        "participants": list(r.participant_ids),
+        "wall_ms": r.wall_ms,
+    }
+
+
+def _row_record(row: dict) -> RoundRecord:
+    return RoundRecord(
+        round=int(row["round"]),
+        phase=row["phase"],
+        test_accuracy=float(row["test_accuracy"]),
+        test_loss=float(row["test_loss"]),
+        participant_ids=tuple(int(i) for i in row["participants"]),
+        wall_ms=int(row["wall_ms"]),
+    )
+
+
 def export_history(history, path, fmt: str = "csv") -> None:
     """Write round records as CSV or JSON; byte-identical per history."""
     if fmt not in HISTORY_FORMATS:
         raise ValueError(f"unknown history format {fmt!r}, expected one of {HISTORY_FORMATS}")
+    rows = [_record_row(r) for r in history]
     if fmt == "csv":
-        lines = [HISTORY_HEADER]
-        for r in history:
-            participants = ";".join(str(i) for i in r.participant_ids)
-            lines.append(
-                f"{r.round},{r.phase},{r.test_accuracy:.6f},{r.test_loss:.6f},"
-                f"{participants},{r.wall_ms}"
-            )
+        lines = [HISTORY_HEADER] + [
+            f"{row['round']},{row['phase']},{row['test_accuracy']:.6f},"
+            f"{row['test_loss']:.6f},{';'.join(map(str, row['participants']))},"
+            f"{row['wall_ms']}"
+            for row in rows
+        ]
         text = "\n".join(lines) + "\n"
     else:
-        records = [
-            {
-                "round": r.round,
-                "phase": r.phase,
-                "test_accuracy": r.test_accuracy,
-                "test_loss": r.test_loss,
-                "participants": list(r.participant_ids),
-                "wall_ms": r.wall_ms,
-            }
-            for r in history
-        ]
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -107,34 +118,15 @@ def load_history(path, fmt: str = "csv") -> list[RoundRecord]:
     """Read back a history file written by :func:`export_history`."""
     if fmt not in HISTORY_FORMATS:
         raise ValueError(f"unknown history format {fmt!r}, expected one of {HISTORY_FORMATS}")
-    records = []
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                records.append(
-                    RoundRecord(
-                        round=int(row["round"]),
-                        phase=row["phase"],
-                        test_accuracy=float(row["test_accuracy"]),
-                        test_loss=float(row["test_loss"]),
-                        participant_ids=tuple(int(i) for i in row["participants"].split(";")),
-                        wall_ms=int(row["wall_ms"]),
-                    )
-                )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            for row in json.load(fh):
-                records.append(
-                    RoundRecord(
-                        round=int(row["round"]),
-                        phase=row["phase"],
-                        test_accuracy=float(row["test_accuracy"]),
-                        test_loss=float(row["test_loss"]),
-                        participant_ids=tuple(int(i) for i in row["participants"]),
-                        wall_ms=int(row["wall_ms"]),
-                    )
-                )
-    return records
+    with open(path, newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            rows = [
+                dict(row, participants=row["participants"].split(";"))
+                for row in csv.DictReader(fh)
+            ]
+        else:
+            rows = json.load(fh)
+    return [_row_record(row) for row in rows]
 
 
 def summarize(result, *, labeled_fraction: float, rounds: int, epochs: int) -> SummaryRow:

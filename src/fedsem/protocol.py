@@ -16,14 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, RoundFailure, ShapeError
-from .federation import (
-    FederationConfig,
-    ServerState,
-    initial_params,
-    run_fedavg,
-    run_round,
-    training_view,
-)
+from .federation import FederationConfig, run_fedavg, training_view
 from .metrics import RoundRecord, gain
 from .model import ModelParams, forward
 
@@ -92,29 +85,41 @@ def converged(history, window: int, epsilon: float) -> bool:
     return max(tail) - min(tail) <= epsilon
 
 
+def _stop_rule(config: FedSemConfig):
+    """The early-stop test run_fedavg applies after each round of a phase."""
+    if config.phase_switch == "at_half_rounds":
+        return None
+    return lambda history: converged(
+        history, config.convergence_window, config.convergence_epsilon
+    )
+
+
 def run_phase1(
     config: FedSemConfig,
     shards,
     dataset: Dataset,
 ) -> tuple[ModelParams, tuple[RoundRecord, ...]]:
-    """Labeled-only federated training up to the configured switch point."""
+    """Labeled-only federated training up to the configured switch point.
+
+    ``at_half_rounds`` trains ``rounds // 2`` rounds. ``on_convergence``
+    trains until :func:`converged` holds, within ``rounds - 1`` rounds so
+    that phase 2 keeps at least one.
+    """
     fed = config.federation
     if fed.rounds < 2:
         raise ConfigError("a two-phase run needs rounds >= 2")
     if not any(training_view(s, dataset, labeled_only=True).size for s in shards):
         raise RoundFailure("phase 1 cannot train: no client holds a visible label")
-
-    if config.phase_switch == "at_half_rounds":
-        state = run_fedavg(
-            fed, shards, dataset, labeled_only=True, rounds=fed.rounds // 2, phase="phase1"
-        )
-    else:
-        # Keep at least one round of budget for phase 2.
-        state = ServerState(global_params=initial_params(fed, dataset), round=0)
-        for _ in range(fed.rounds - 1):
-            state = run_round(state, shards, dataset, fed, labeled_only=True, phase="phase1")
-            if converged(state.history, config.convergence_window, config.convergence_epsilon):
-                break
+    budget = fed.rounds // 2 if config.phase_switch == "at_half_rounds" else fed.rounds - 1
+    state = run_fedavg(
+        fed,
+        shards,
+        dataset,
+        labeled_only=True,
+        rounds=budget,
+        phase="phase1",
+        stop=_stop_rule(config),
+    )
     return state.global_params, state.history
 
 
@@ -168,30 +173,26 @@ def run_phase2(
 ) -> tuple[ModelParams, tuple[RoundRecord, ...]]:
     """Federated training over the pseudo-completed data, warm-started.
 
-    Runs for the remaining round budget (total rounds minus
-    ``start_round``), or until convergence in on_convergence mode.
+    Round indices continue from ``start_round``. Runs for the remaining
+    budget (total rounds minus ``start_round``); in on_convergence mode
+    it stops earlier once :func:`converged` holds over phase 2's own
+    history.
     """
     fed = config.federation
     budget = fed.rounds - start_round
     if budget < 1:
         raise ConfigError(f"no phase-2 round budget left after {start_round} rounds")
-    if config.phase_switch == "at_half_rounds":
-        state = run_fedavg(
-            fed,
-            shards,
-            dataset,
-            labeled_only=False,
-            rounds=budget,
-            start_params=model_phase1,
-            start_round=start_round,
-            phase="phase2",
-        )
-    else:
-        state = ServerState(global_params=model_phase1, round=start_round)
-        for _ in range(budget):
-            state = run_round(state, shards, dataset, fed, labeled_only=False, phase="phase2")
-            if converged(state.history, config.convergence_window, config.convergence_epsilon):
-                break
+    state = run_fedavg(
+        fed,
+        shards,
+        dataset,
+        labeled_only=False,
+        rounds=budget,
+        start_params=model_phase1,
+        start_round=start_round,
+        phase="phase2",
+        stop=_stop_rule(config),
+    )
     return state.global_params, state.history
 
 

@@ -88,6 +88,9 @@ class TestGenerate:
                      "--sep", "2.0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+        code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestRun:
@@ -247,6 +250,18 @@ class TestSweep:
     def test_empty_axis_exit_2(self, write_config, capsys):
         code = main(["sweep", "--config", str(write_config()), "--quiet", "--axis", "epochs="])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "axes", [["labeled_fraction=0.2,0.2"], ["epochs=1", "epochs=2"]]
+    )
+    def test_repeated_axis_value_or_key_exit_2(self, write_config, tmp_path, capsys, axes):
+        config = write_config(out_dir="sweep-out")
+        args = ["sweep", "--config", str(config), "--quiet"]
+        for axis in axes:
+            args += ["--axis", axis]
+        assert main(args) == 2
+        assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "sweep-out").exists()
 
     def test_unknown_axis_exit_2(self, write_config, capsys):
         code = main([

@@ -1,10 +1,12 @@
 """Experiment-file parsing: strict keys, defaults, overrides, round-trips."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from fedsem.config import (
+    _SCHEMA,
     ExperimentConfig,
     apply_overrides,
     build_config,
@@ -63,6 +65,118 @@ pseudo_label_threshold = 0.5
 directory = out/run1
 formats = csv
 """
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+CSV_SOURCE = (
+    "[dataset]\nsource = csv\npath = data/things.csv\nclasses = 5\n"
+    "has_header = true\n\n[federation]\nrounds = 3\n"
+)
+DIRICHLET = "[partition]\nscheme = dirichlet\nalpha = 0.5\n\n[federation]\nrounds = 3\n"
+
+DEFAULT_FEDERATION_TEXT = """[federation]
+clients_per_round = 5
+rounds = 3
+local_epochs = 10
+learning_rate = 0.0001
+batch_size = 32
+solver = adam
+aggregation = sample_weighted
+master_seed = 0
+hidden_dims = 32
+parallel_clients = 1
+
+[output]
+formats = csv,json
+"""
+
+SERIALIZED = {
+    "full": """[dataset]
+source = synthetic
+samples = 400
+classes = 4
+dim = 8
+separation = 3.0
+seed = 7
+has_header = false
+
+[partition]
+scheme = shards
+num_clients = 8
+shards_per_client = 2
+seed = 9
+
+[labels]
+labeled_fraction = 0.25
+mask_mode = global
+mask_seed = 11
+
+[federation]
+clients_per_round = 4
+rounds = 12
+local_epochs = 3
+learning_rate = 0.002
+batch_size = 16
+solver = sgd
+aggregation = uniform
+master_seed = 5
+hidden_dims = 16,8
+parallel_clients = 2
+
+[fedsem]
+phase_switch = on_convergence
+convergence_window = 4
+convergence_epsilon = 0.01
+pseudo_label_threshold = 0.5
+
+[output]
+directory = out/run1
+formats = csv
+""",
+    "csv": """[dataset]
+source = csv
+samples = 4000
+classes = 5
+dim = 16
+separation = 2.0
+seed = 0
+path = data/things.csv
+has_header = true
+
+[partition]
+scheme = iid
+num_clients = 20
+seed = 0
+
+[labels]
+labeled_fraction = 1.0
+mask_mode = per_client
+mask_seed = 0
+
+""" + DEFAULT_FEDERATION_TEXT,
+    "dirichlet": """[dataset]
+source = synthetic
+samples = 4000
+classes = 10
+dim = 16
+separation = 2.0
+seed = 0
+has_header = false
+
+[partition]
+scheme = dirichlet
+num_clients = 20
+alpha = 0.5
+seed = 0
+
+[labels]
+labeled_fraction = 1.0
+mask_mode = per_client
+mask_seed = 0
+
+""" + DEFAULT_FEDERATION_TEXT,
+}
 
 
 def config_from(text: str, overrides=()) -> ExperimentConfig:
@@ -183,24 +297,26 @@ class TestRoundTrip:
         assert again == cfg
 
     def test_round_trip_with_csv_source(self, tmp_path):
-        text = (
-            "[dataset]\nsource = csv\npath = data/things.csv\nclasses = 5\n"
-            "has_header = true\n\n[federation]\nrounds = 3\n"
-        )
-        cfg = config_from(text)
+        cfg = config_from(CSV_SOURCE)
         assert config_from(serialize_config(cfg)) == cfg
 
     def test_round_trip_with_dirichlet(self):
-        text = "[partition]\nscheme = dirichlet\nalpha = 0.5\n\n[federation]\nrounds = 3\n"
-        cfg = config_from(text)
+        cfg = config_from(DIRICHLET)
         assert config_from(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "name, text", [("full", FULL), ("csv", CSV_SOURCE), ("dirichlet", DIRICHLET)]
+    )
+    def test_exact_text(self, name, text):
+        # Pins key order and value formatting, which equality round-trips miss.
+        assert serialize_config(config_from(text)) == SERIALIZED[name]
 
 
 class TestShippedCanonicalConfig:
     def test_matches_acceptance_experiment(self):
         # The shipped config must stay the exact experiment the acceptance
         # suite freezes regression values for.
-        path = Path(__file__).resolve().parents[1] / "configs" / "canonical.ini"
+        path = REPO_ROOT / "configs" / "canonical.ini"
         cfg = load_config(path)
         assert cfg.federation == canonical_federation()
         assert cfg.dataset.samples == 4000
@@ -217,3 +333,20 @@ class TestShippedCanonicalConfig:
         assert cfg.fedsem is not None
         assert cfg.fedsem.phase_switch == "at_half_rounds"
         assert cfg.fedsem.pseudo_label_threshold == 0.0
+
+
+class TestReadmeExample:
+    def test_ini_example_names_every_schema_key(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        documented: dict[str, list[str]] = {}
+        section = None
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            entry = re.match(r";?\s*(\w+)\s*=", line)
+            if header:
+                section = header.group(1)
+                documented[section] = []
+            elif entry:
+                documented[section].append(entry.group(1))
+        assert documented == {name: list(keys) for name, keys in _SCHEMA.items()}

@@ -61,34 +61,52 @@ class TestFederationConfig:
         assert tiny_federation(rounds=0).rounds == 0
 
 
+def round_participants(config, dataset, shards, rounds, labeled_only=False):
+    """Participant ids run_round records for each of ``rounds`` rounds."""
+    history = fs.run_fedavg(
+        config, shards, dataset, labeled_only=labeled_only, rounds=rounds
+    ).history
+    return [record.participant_ids for record in history]
+
+
 class TestSampleClients:
+    """Client sampling as run_round performs it, read from the round records."""
+
     def test_exhaustive_when_s_equals_pool(self):
-        assert fs.sample_clients(5, 5, round_index=0, master_seed=1) == [0, 1, 2, 3, 4]
+        masked, shards = tiny_pipeline()
+        config = tiny_federation(clients_per_round=6)
+        assert round_participants(config, masked, shards, rounds=1) == [(0, 1, 2, 3, 4, 5)]
 
     def test_deterministic(self):
-        a = fs.sample_clients(10, 3, round_index=7, master_seed=3)
-        b = fs.sample_clients(10, 3, round_index=7, master_seed=3)
+        masked, shards = tiny_pipeline()
+        config = tiny_federation()
+        a = round_participants(config, masked, shards, rounds=3)
+        b = round_participants(config, masked, shards, rounds=3)
         assert a == b
 
     def test_sorted_subset_of_eligible(self):
-        eligible = [9, 4, 2, 7, 0]
-        chosen = fs.sample_clients(10, 3, round_index=1, master_seed=0, eligible=eligible)
-        assert chosen == sorted(chosen)
-        assert set(chosen) <= set(eligible)
+        masked, shards = tiny_pipeline()
+        visible = np.array(masked.label_visible, copy=True)
+        for cid in (1, 3, 5):
+            visible[shards[cid].train_indices] = False
+        partial = dataclasses.replace(masked, label_visible=visible)
+        config = tiny_federation(clients_per_round=2)
+        for chosen in round_participants(config, partial, shards, rounds=4, labeled_only=True):
+            assert list(chosen) == sorted(chosen)
+            assert set(chosen) <= {0, 2, 4}
 
     def test_every_client_selected_over_many_rounds(self):
+        masked, shards = tiny_pipeline()
+        config = tiny_federation(clients_per_round=2, local_epochs=1)
         seen = set()
-        for round_index in range(200):
-            seen.update(fs.sample_clients(10, 3, round_index, master_seed=0))
-        assert seen == set(range(10))
+        for chosen in round_participants(config, masked, shards, rounds=12):
+            seen.update(chosen)
+        assert seen == set(range(6))
 
     def test_rounds_differ(self):
-        draws = {tuple(fs.sample_clients(10, 3, r, master_seed=0)) for r in range(20)}
-        assert len(draws) > 1
-
-    def test_oversampling_rejected(self):
-        with pytest.raises(ConfigError):
-            fs.sample_clients(4, 5, round_index=0, master_seed=0)
+        masked, shards = tiny_pipeline()
+        config = tiny_federation(local_epochs=1)
+        assert len(set(round_participants(config, masked, shards, rounds=6))) > 1
 
 
 class TestClientRound:
@@ -258,10 +276,10 @@ class TestRunRound:
     def test_skip_and_replace_preserves_count(self):
         masked, shards = tiny_pipeline()
         hidden = np.array(masked.label_visible, copy=True)
-        starved = fs.sample_clients(6, 1, round_index=0, master_seed=5)[0]
+        config = tiny_federation()
+        starved = round_participants(config, masked, shards, rounds=1)[0][0]
         hidden[shards[starved].train_indices] = False
         blind = dataclasses.replace(masked, label_visible=hidden)
-        config = tiny_federation()
         state = fs.run_round(
             fs.ServerState(fs.initial_params(config, blind), round=0),
             shards, blind, config, labeled_only=True,

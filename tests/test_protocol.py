@@ -212,6 +212,19 @@ class TestRunPhase2:
         assert result.model_phase2.flatten().tobytes() == continuous.global_params.flatten().tobytes()
 
 
+    def test_on_convergence_stops_each_phase_at_window(self):
+        masked, shards = small_pipeline(labeled_fraction=0.4)
+        config = dataclasses.replace(
+            small_config(rounds=20),
+            phase_switch="on_convergence",
+            convergence_window=3,
+            convergence_epsilon=1.0,
+        )
+        result = fs.run_fedsem(config, shards, masked)
+        assert [r.phase for r in result.history] == ["phase1"] * 3 + ["phase2"] * 3
+        assert [r.round for r in result.history] == list(range(6))
+
+
 class TestRunFedsem:
     def test_deterministic_end_to_end(self):
         masked, shards = small_pipeline(labeled_fraction=0.4)
