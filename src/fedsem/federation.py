@@ -169,28 +169,18 @@ def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
     dims = ordered[0].params.layer_dims
     for u in ordered:
         if u.params.layer_dims != dims:
-            raise ShapeError(
-                f"client {u.client_id} update dims {u.params.layer_dims} != {dims}"
-            )
+            raise ShapeError(f"client {u.client_id} update dims {u.params.layer_dims} != {dims}")
     if scheme == "uniform":
         coeffs = [1.0 / len(ordered)] * len(ordered)
     else:
         total = float(sum(u.num_samples for u in ordered))
         coeffs = [u.num_samples / total for u in ordered]
 
-    base = ordered[0].params
-    n_layers = len(dims) - 1
-    weights = []
-    biases = []
-    for layer in range(n_layers):
-        dw = np.zeros_like(base.weights[layer])
-        db = np.zeros_like(base.biases[layer])
-        for coeff, update in zip(coeffs, ordered):
-            dw = dw + coeff * (update.params.weights[layer] - base.weights[layer])
-            db = db + coeff * (update.params.biases[layer] - base.biases[layer])
-        weights.append(base.weights[layer] + dw)
-        biases.append(base.biases[layer] + db)
-    return ModelParams(dims, tuple(weights), tuple(biases))
+    base = ordered[0].params.vector
+    delta = np.zeros_like(base)
+    for coeff, update in zip(coeffs, ordered):
+        delta += coeff * (update.params.vector - base)
+    return ModelParams.unflatten(dims, base + delta)
 
 
 def evaluation_batch(shards, dataset: Dataset) -> Batch:
@@ -208,12 +198,15 @@ def run_round(
     config: FederationConfig,
     labeled_only: bool = False,
     phase: str = "phase1",
+    *,
+    eval_batch: Batch | None = None,
 ) -> ServerState:
     """One full federated round; returns the advanced server state.
 
     Clients whose training view is empty are skipped and replaced by the
     next eligible id in this round's seeded order, keeping the
-    participant count whenever enough trainable clients exist.
+    participant count whenever enough trainable clients exist. The new
+    model is evaluated on ``eval_batch`` (default: built from ``shards``).
     """
     by_id = {s.client_id: s for s in shards}
     order = _round_order(config.master_seed, state.round, by_id.keys())
@@ -238,7 +231,9 @@ def run_round(
         updates = [train(cid) for cid in participants]
 
     new_params = aggregate(updates, config.aggregation)
-    accuracy, mean_loss = evaluate(new_params, evaluation_batch(shards, dataset))
+    if eval_batch is None:
+        eval_batch = evaluation_batch(shards, dataset)
+    accuracy, mean_loss = evaluate(new_params, eval_batch)
     record = RoundRecord(
         round=state.round,
         phase=phase,
@@ -282,8 +277,11 @@ def run_fedavg(
         raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
     params = initial_params(config, dataset) if start_params is None else start_params
     state = ServerState(global_params=params, round=start_round, history=())
+    eval_batch = evaluation_batch(shards, dataset) if n_rounds else None
     for _ in range(n_rounds):
-        state = run_round(state, shards, dataset, config, labeled_only, phase)
+        state = run_round(
+            state, shards, dataset, config, labeled_only, phase, eval_batch=eval_batch
+        )
         if stop is not None and stop(state.history):
             break
     return state

@@ -2,90 +2,103 @@
 
 This is the training engine every simulated client runs: a configurable
 multilayer perceptron (ReLU hidden layers, softmax output) with exact
-analytic gradients of the mean cross-entropy loss. All operations are
-pure functions of their inputs: parameters are immutable value objects
-and every update returns a fresh instance, so concurrent client workers
-can share a global model without copying or locking.
+analytic gradients of the mean cross-entropy loss. Parameters are
+immutable value objects over one read-only flat vector, so concurrent
+client workers can share a global model without copying or locking.
+Values are validated where they enter and leave the API, not per step:
+:func:`train_local` updates a private copy of the vector in place,
+checks only that it stays finite, and returns a validated result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import _frozen
 from .errors import ClientSkip, ConfigError, ShapeError
 
 PROB_FLOOR = 1e-12
 SOLVERS = ("sgd", "adam")
 
 
-def _frozen(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
+def _check_dims(layer_dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ConfigError(f"layer_dims must list >= 2 positive sizes, got {dims}")
+    return dims
+
+
+def _views(dims, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer (weights, biases) views into a vector in the ``flatten`` layout."""
+    weights, biases, offset = [], [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        weights.append(flat[offset : offset + din * dout].reshape(din, dout))
+        offset += din * dout
+        biases.append(flat[offset : offset + dout])
+        offset += dout
+    return tuple(weights), tuple(biases)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Dense-layer weights and biases, flattenable to one parameter vector.
+    """Dense-layer weights and biases, stored as one flat parameter vector.
 
     ``layer_dims`` lists the input width, hidden widths, and class count;
     ``weights[l]`` has shape ``(layer_dims[l], layer_dims[l+1])`` and
-    ``biases[l]`` has shape ``(layer_dims[l+1],)``.
+    ``biases[l]`` has shape ``(layer_dims[l+1],)``. Both are read-only views
+    into ``vector``, which holds per layer the weights row-major, then the bias.
     """
 
     layer_dims: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ConfigError(f"layer_dims must list >= 2 positive sizes, got {dims}")
+        dims = _check_dims(self.layer_dims)
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ShapeError("need one weight matrix and one bias vector per layer")
-        weights = tuple(_frozen(w) for w in self.weights)
-        biases = tuple(_frozen(b) for b in self.biases)
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape != (dims[layer], dims[layer + 1]) or b.shape != (dims[layer + 1],):
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if np.shape(w) != (dims[layer], dims[layer + 1]) or np.shape(b) != (dims[layer + 1],):
                 raise ShapeError(
-                    f"layer {layer}: weight shape {w.shape} / bias shape {b.shape} "
+                    f"layer {layer}: weight shape {np.shape(w)} / bias shape {np.shape(b)} "
                     f"do not match layer_dims {dims}"
                 )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {layer}: non-finite parameter values")
+        chunks = [np.ravel(a) for pair in zip(self.weights, self.biases) for a in pair]
+        self._own(dims, np.concatenate(chunks, dtype=np.float64))
+
+    def _own(self, dims: tuple[int, ...], flat: np.ndarray) -> None:
+        """Freeze and check ``flat``, then expose it through per-layer views."""
+        flat.flags.writeable = False
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite parameter values")
+        weights, biases = _views(dims, flat)
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "vector", flat)
 
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.vector.size
 
     def flatten(self) -> np.ndarray:
-        """Concatenate all parameters (per layer: weights row-major, then bias)."""
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b)
-        return np.concatenate(chunks)
+        """A writable copy of the parameter vector."""
+        return self.vector.copy()
 
     @classmethod
     def unflatten(cls, layer_dims, vector) -> "ModelParams":
-        """Rebuild parameters from a flat vector; inverse of :meth:`flatten`."""
-        dims = tuple(int(d) for d in layer_dims)
-        vec = np.asarray(vector, dtype=np.float64).ravel()
+        """Parameters over one copy of a flat vector; inverse of :meth:`flatten`."""
+        dims = _check_dims(layer_dims)
+        vec = np.array(vector, dtype=np.float64).ravel()
         expected = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
         if vec.size != expected:
             raise ShapeError(f"flat vector has {vec.size} entries, expected {expected}")
-        weights, biases, offset = [], [], 0
-        for din, dout in zip(dims[:-1], dims[1:]):
-            weights.append(vec[offset : offset + din * dout].reshape(din, dout))
-            offset += din * dout
-            biases.append(vec[offset : offset + dout])
-            offset += dout
-        return cls(dims, tuple(weights), tuple(biases))
+        params = object.__new__(cls)
+        params._own(dims, vec)
+        return params
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +109,8 @@ class Batch:
     targets: np.ndarray
 
     def __post_init__(self):
-        inputs = _frozen(self.inputs)
-        targets = _frozen(self.targets)
+        inputs = _frozen(self.inputs, np.float64)
+        targets = _frozen(self.targets, np.float64)
         if inputs.ndim != 2 or targets.ndim != 2:
             raise ShapeError("batch inputs and targets must be 2-d arrays")
         if inputs.shape[0] != targets.shape[0]:
@@ -117,12 +130,12 @@ class Batch:
 
 @dataclass(frozen=True, eq=False)
 class OptimizerState:
-    """Per-solver bookkeeping carried between optimizer steps."""
+    """Per-solver bookkeeping; adam's moments are flat vectors like ``flatten()``."""
 
     kind: str
     step_count: int = 0
-    first_moment: ModelParams | None = None
-    second_moment: ModelParams | None = None
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -144,34 +157,16 @@ def init_optimizer(
     epsilon: float = 1e-8,
 ) -> OptimizerState:
     """Fresh optimizer state for ``params``; adam moments start at zero."""
-    if kind not in SOLVERS:
-        raise ConfigError(f"unknown solver {kind!r}, expected one of {SOLVERS}")
     if kind == "sgd":
         return OptimizerState(kind="sgd")
-    zeros = _map_params(params.layer_dims, np.zeros_like, params)
-    return OptimizerState(
-        kind="adam",
-        first_moment=zeros,
-        second_moment=zeros,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
-
-
-def _map_params(layer_dims, fn, *objs: ModelParams) -> ModelParams:
-    """Apply ``fn`` layer-by-layer across aligned parameter objects."""
-    n_layers = len(layer_dims) - 1
-    weights = tuple(fn(*(o.weights[l] for o in objs)) for l in range(n_layers))
-    biases = tuple(fn(*(o.biases[l] for o in objs)) for l in range(n_layers))
-    return ModelParams(tuple(layer_dims), weights, biases)
+    zeros = np.zeros(params.num_params)
+    return OptimizerState(kind, first_moment=zeros, second_moment=zeros.copy(),
+                          beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
 def init_params(layer_dims, seed: int) -> ModelParams:
     """Seeded fan-in-scaled normal weights (std sqrt(2/fan_in)), zero biases."""
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ConfigError(f"layer_dims must list >= 2 positive sizes, got {dims}")
+    dims = _check_dims(layer_dims)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -206,7 +201,8 @@ def forward(params: ModelParams, inputs) -> np.ndarray:
     return _softmax(h @ params.weights[-1] + params.biases[-1])
 
 
-def _check_targets(params: ModelParams, batch: Batch) -> None:
+def _check_batch(params: ModelParams, batch: Batch) -> np.ndarray:
+    """The batch's inputs, once the batch is non-empty and fits the model."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     if batch.targets.shape[1] != params.layer_dims[-1]:
@@ -214,38 +210,50 @@ def _check_targets(params: ModelParams, batch: Batch) -> None:
             f"targets have {batch.targets.shape[1]} classes but the model "
             f"outputs {params.layer_dims[-1]}"
         )
+    return _check_inputs(params, batch.inputs)
 
 
 def loss(params: ModelParams, batch: Batch) -> float:
     """Mean softmax cross-entropy; probabilities floored at 1e-12 before log."""
-    _check_targets(params, batch)
-    probs = forward(params, batch.inputs)
-    clipped = np.maximum(probs, PROB_FLOOR)
-    return float(-(batch.targets * np.log(clipped)).sum() / len(batch))
+    return evaluate(params, batch)[1]
+
+
+def _gradient(layers, x, targets, grads) -> None:
+    """Write the gradient of the mean cross-entropy into the ``grads`` layer views."""
+    (weights, biases), (grad_w, grad_b) = layers, grads
+    activations = [x]
+    h = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        activations.append(h)
+    delta = (_softmax(h @ weights[-1] + biases[-1]) - targets) / len(x)
+    for layer in reversed(range(len(weights))):
+        np.matmul(activations[layer].T, delta, out=grad_w[layer])
+        np.sum(delta, axis=0, out=grad_b[layer])
+        if layer > 0:
+            # ReLU kills the upstream signal wherever the unit was inactive.
+            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
 
 
 def backward(params: ModelParams, batch: Batch) -> ModelParams:
     """Analytic gradient of :func:`loss`, returned with the parameter layout."""
-    _check_targets(params, batch)
-    x = _check_inputs(params, batch.inputs)
-    activations = [x]
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        activations.append(h)
-    probs = _softmax(h @ params.weights[-1] + params.biases[-1])
+    x = _check_batch(params, batch)
+    grad = np.empty(params.num_params)
+    _gradient((params.weights, params.biases), x, batch.targets, _views(params.layer_dims, grad))
+    return ModelParams.unflatten(params.layer_dims, grad)
 
-    n_layers = len(params.layer_dims) - 1
-    grad_w: list[np.ndarray | None] = [None] * n_layers
-    grad_b: list[np.ndarray | None] = [None] * n_layers
-    delta = (probs - batch.targets) / len(batch)
-    for layer in reversed(range(n_layers)):
-        grad_w[layer] = activations[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            # ReLU kills the upstream signal wherever the unit was inactive.
-            delta = (delta @ params.weights[layer].T) * (activations[layer] > 0.0)
-    return ModelParams(params.layer_dims, tuple(grad_w), tuple(grad_b))
+
+def _step(flat: np.ndarray, grad: np.ndarray, state: OptimizerState, t: int, lr: float) -> None:
+    """Step ``t`` of the solver, in place on ``flat`` and adam's moment vectors."""
+    if state.kind == "sgd":
+        flat -= lr * grad
+        return
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    m, v = state.first_moment, state.second_moment
+    m[:] = b1 * m + (1 - b1) * grad
+    v[:] = b2 * v + (1 - b2) * grad * grad
+    bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+    flat -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
 def optimizer_step(
@@ -258,27 +266,14 @@ def optimizer_step(
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
     if grad.layer_dims != params.layer_dims:
-        raise ShapeError(
-            f"gradient dims {grad.layer_dims} do not match params {params.layer_dims}"
-        )
-    if state.kind == "sgd":
-        new_params = _map_params(params.layer_dims, lambda p, g: p - lr * g, params, grad)
-        return new_params, replace(state, step_count=state.step_count + 1)
-
+        raise ShapeError(f"gradient dims {grad.layer_dims} do not match params {params.layer_dims}")
     t = state.step_count + 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    m = _map_params(params.layer_dims, lambda mo, g: b1 * mo + (1 - b1) * g,
-                    state.first_moment, grad)
-    v = _map_params(params.layer_dims, lambda vo, g: b2 * vo + (1 - b2) * g * g,
-                    state.second_moment, grad)
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
-    new_params = _map_params(
-        params.layer_dims,
-        lambda p, mi, vi: p - lr * (mi / bias1) / (np.sqrt(vi / bias2) + eps),
-        params, m, v,
-    )
-    return new_params, replace(state, step_count=t, first_moment=m, second_moment=v)
+    if state.kind == "adam":
+        state = replace(state, first_moment=np.array(state.first_moment, dtype=np.float64),
+                        second_moment=np.array(state.second_moment, dtype=np.float64))
+    flat = params.flatten()
+    _step(flat, grad.vector, state, t, lr)
+    return ModelParams.unflatten(params.layer_dims, flat), replace(state, step_count=t)
 
 
 def train_local(
@@ -296,6 +291,8 @@ def train_local(
     ``rng_seed ^ epoch_index``; a final short batch is trained on rather
     than dropped. The input ``params`` object is never modified. A zero
     learning rate is the identity (every step would subtract zero).
+    Training raises ``ValueError`` at the first step that leaves a
+    non-finite parameter.
     """
     if len(samples) == 0:
         raise ClientSkip("empty training view")
@@ -303,24 +300,26 @@ def train_local(
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
     if lr < 0:
         raise ConfigError(f"learning rate must be non-negative, got {lr}")
+    state = init_optimizer(solver, params)
+    inputs = _check_batch(params, samples)
     if lr == 0:
         return params
 
-    state = init_optimizer(solver, params)
-    current = params
-    n = len(samples)
+    flat, grad = params.flatten(), np.empty(params.num_params)
+    layers, grads = _views(params.layer_dims, flat), _views(params.layer_dims, grad)
+    n, t = len(samples), 0
     for epoch in range(epochs):
         order = np.random.default_rng(rng_seed ^ epoch).permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            mini = Batch(samples.inputs[idx], samples.targets[idx])
-            grad = backward(current, mini)
-            current, state = optimizer_step(current, grad, state, lr)
-    return current
+            _gradient(layers, inputs[idx], samples.targets[idx], grads)
+            t += 1
+            _step(flat, grad, state, t, lr)
+            if not np.isfinite(flat).all():
+                raise ValueError(f"step {t}: non-finite parameter values")
+    return ModelParams.unflatten(params.layer_dims, flat)
 
 
 def predict(params: ModelParams, inputs) -> np.ndarray:
@@ -329,10 +328,9 @@ def predict(params: ModelParams, inputs) -> np.ndarray:
 
 
 def evaluate(params: ModelParams, samples: Batch) -> tuple[float, float]:
-    """(accuracy, mean loss) of ``params`` over ``samples`` as one batch."""
-    if len(samples) == 0:
-        raise ValueError("cannot evaluate on an empty sample set")
-    predicted = predict(params, samples.inputs)
-    truth = np.argmax(samples.targets, axis=1)
-    accuracy = float(np.mean(predicted == truth))
-    return accuracy, loss(params, samples)
+    """(accuracy, mean loss) of ``params`` over ``samples`` from one forward pass."""
+    _check_batch(params, samples)
+    probs = forward(params, samples.inputs)
+    accuracy = float(np.mean(np.argmax(probs, axis=1) == np.argmax(samples.targets, axis=1)))
+    mean_loss = -(samples.targets * np.log(np.maximum(probs, PROB_FLOOR))).sum() / len(samples)
+    return accuracy, float(mean_loss)

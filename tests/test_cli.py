@@ -1,12 +1,15 @@
 """Command-line workflows: generate, run, sweep, report, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedsem as fs
 from fedsem.cli import main
+
+CANONICAL_INI = Path(__file__).resolve().parents[1] / "configs" / "canonical.ini"
 
 BASE_CONFIG = """
 [dataset]
@@ -153,6 +156,15 @@ class TestRun:
         )
         assert main(["run", "--config", str(path)]) == 1
         assert "data setup" in capsys.readouterr().err
+
+    def test_divergence_exit_1(self, tmp_path, capsys):
+        code = main([
+            "run", "--config", str(CANONICAL_INI), "--out", str(tmp_path / "o"), "--quiet",
+            "--override", "federation.learning_rate=50",
+            "--override", "federation.solver=sgd",
+        ])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_outputs_confined_to_directory(self, write_config, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

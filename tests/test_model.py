@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedsem as fs
 from fedsem.errors import ClientSkip, ConfigError, ShapeError
@@ -244,6 +245,13 @@ class TestTrainLocal:
         with pytest.raises(ClientSkip):
             fs.train_local(params, empty, epochs=1, batch_size=4, lr=0.1)
 
+    def test_divergence_raises(self):
+        params = fs.init_params([5, 4, 3], seed=7)
+        with pytest.raises(ValueError, match="non-finite"):
+            fs.train_local(
+                params, self.batch(seed=7), epochs=50, batch_size=4, lr=1e3, solver="sgd"
+            )
+
     def test_keeps_last_short_batch(self):
         # 5 samples at batch size 4 must take two steps, not one.
         params = fs.init_params([5, 4, 3], seed=6)
@@ -338,3 +346,64 @@ class TestPurityAndImmutability:
         params, batch = random_model_and_batch(22)
         trained = fs.train_local(params, batch, epochs=3, batch_size=4, lr=0.5, solver="adam")
         assert np.isfinite(trained.flatten()).all()
+
+
+def reference_train_local(params, inputs, targets, epochs, batch_size, lr, solver, rng_seed):
+    """The per-layer training loop in plain numpy: one array per layer, fresh arrays per step."""
+    ws, bs = [w.copy() for w in params.weights], [b.copy() for b in params.biases]
+    ms = [np.zeros_like(a) for a in ws + bs]
+    vs = [np.zeros_like(a) for a in ws + bs]
+    t = 0
+    for epoch in range(epochs):
+        order = np.random.default_rng(rng_seed ^ epoch).permutation(len(inputs))
+        for start in range(0, len(inputs), batch_size):
+            idx = order[start : start + batch_size]
+            acts = [inputs[idx]]
+            for w, b in zip(ws[:-1], bs[:-1]):
+                acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+            logits = acts[-1] @ ws[-1] + bs[-1]
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            delta = (exp / exp.sum(axis=1, keepdims=True) - targets[idx]) / len(idx)
+            gw, gb = [None] * len(ws), [None] * len(ws)
+            for layer in reversed(range(len(ws))):
+                gw[layer], gb[layer] = acts[layer].T @ delta, delta.sum(axis=0)
+                if layer > 0:
+                    delta = (delta @ ws[layer].T) * (acts[layer] > 0.0)
+            t += 1
+            new = []
+            for i, (p, g) in enumerate(zip(ws + bs, gw + gb)):
+                if solver == "sgd":
+                    new.append(p - lr * g)
+                    continue
+                ms[i] = 0.9 * ms[i] + (1 - 0.9) * g
+                vs[i] = 0.999 * vs[i] + (1 - 0.999) * g * g
+                bias1, bias2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+                new.append(p - lr * (ms[i] / bias1) / (np.sqrt(vs[i] / bias2) + 1e-8))
+            ws, bs = new[: len(ws)], new[len(ws) :]
+    return np.concatenate([a for w, b in zip(ws, bs) for a in (w.ravel(), b)]).tobytes()
+
+
+class TestFlatKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+        dim=st.integers(1, 5),
+        classes=st.integers(2, 4),
+        n=st.integers(1, 24),
+        batch_size=st.integers(1, 10),
+        epochs=st.integers(1, 3),
+        lr=st.sampled_from([0.01, 0.1, 0.5]),
+        solver=st.sampled_from(fs.SOLVERS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical(self, hidden, dim, classes, n, batch_size, epochs, lr, solver, seed):
+        dims = (dim, *hidden, classes)
+        params = fs.init_params(dims, seed=seed)
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, n)
+        batch = fs.Batch(rng.normal(size=(n, dim)), fs.one_hot(labels, classes))
+        trained = fs.train_local(params, batch, epochs, batch_size, lr, solver, rng_seed=seed)
+        expected = reference_train_local(
+            params, batch.inputs, batch.targets, epochs, batch_size, lr, solver, seed
+        )
+        assert trained.flatten().tobytes() == expected
