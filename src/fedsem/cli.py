@@ -106,7 +106,7 @@ def _execute(config: ExperimentConfig, dataset, shards):
         payload = dict(
             common,
             mode="fedavg",
-            best_accuracy=max(r.test_accuracy for r in history) if history else float("nan"),
+            best_accuracy=max(r.test_accuracy for r in history) if history else None,
             final_test_accuracy=history[-1].test_accuracy if history else None,
             final_test_loss=history[-1].test_loss if history else None,
             model_sha256=_params_digest(state.global_params),
@@ -126,10 +126,11 @@ def render_run_summary(payload) -> str:
             gain=payload["gain"],
         )
         return render_summary([row])
+    best = payload["best_accuracy"]
     return (
         "single-phase federated run\n"
         f"rounds: {payload['rounds']}\n"
-        f"best test accuracy: {payload['best_accuracy']:.6f}\n"
+        f"best test accuracy: {'n/a' if best is None else format(best, '.6f')}\n"
     )
 
 
@@ -143,7 +144,8 @@ def _write_outputs(out_dir: Path, history, payload, formats) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt in formats:
         export_history(history, out_dir / f"history.{fmt}", fmt)
-    _write_text(out_dir / "result.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    result_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_text(out_dir / "result.json", result_text + "\n")
     summary_text = render_run_summary(payload)
     _write_text(out_dir / "summary.txt", summary_text)
     return summary_text

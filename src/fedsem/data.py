@@ -10,6 +10,7 @@ as an evaluation oracle.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,17 +194,16 @@ def load_csv(path, num_classes: int, has_header: bool = False) -> Dataset:
                 values = [float(cell) for cell in row[:-1]]
             except ValueError:
                 raise CsvParseError(line, f"non-numeric feature in row: {row[:-1]}") from None
+            if not all(map(math.isfinite, values)):
+                raise CsvParseError(line, f"non-finite feature in row: {row[:-1]}")
             label_cell = row[-1].strip()
             try:
-                label = int(label_cell)
+                as_float = float(label_cell)
             except ValueError:
-                try:
-                    as_float = float(label_cell)
-                except ValueError:
-                    raise CsvParseError(line, f"non-numeric label {label_cell!r}") from None
-                if as_float != int(as_float):
-                    raise CsvParseError(line, f"label {label_cell!r} is not integral") from None
-                label = int(as_float)
+                raise CsvParseError(line, f"non-numeric label {label_cell!r}") from None
+            if not math.isfinite(as_float) or as_float != int(as_float):
+                raise CsvParseError(line, f"label {label_cell!r} is not integral")
+            label = int(as_float)
             if not 0 <= label < num_classes:
                 raise CsvParseError(
                     line, f"label {label} out of range [0, {num_classes})"

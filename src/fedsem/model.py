@@ -1,13 +1,13 @@
 """From-scratch dense softmax classifier with SGD and Adam local solvers.
 
-This is the training engine every simulated client runs: a configurable
-multilayer perceptron (ReLU hidden layers, softmax output) with exact
-analytic gradients of the mean cross-entropy loss. Parameters are
-immutable value objects over one read-only flat vector, so concurrent
-client workers can share a global model without copying or locking.
+This is the training engine every simulated client runs: a multilayer
+perceptron (ReLU hidden layers, softmax output) with exact analytic
+gradients of the mean cross-entropy loss. Values are immutable at the API:
+parameters are one read-only flat vector that concurrent client workers
+share without copying or locking, and no call writes to its caller's
+arrays. Kernels work in place only in buffers they allocate per call.
 Values are validated where they enter and leave the API, not per step:
-:func:`train_local` updates a private copy of the vector in place,
-checks only that it stays finite, and returns a validated result.
+:func:`train_local` checks only that its private vector stays finite.
 """
 
 from __future__ import annotations
@@ -186,19 +186,33 @@ def _check_inputs(params: ModelParams, inputs) -> np.ndarray:
     return x
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _layer_buffers(dims, rows: int):
+    """Output buffers for ``rows`` samples, one per layer, each made on demand.
+
+    A forward pass over them holds at most its input and two layer outputs at once.
+    """
+    return (np.empty((rows, d)) for d in dims[1:])
+
+
+def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
+    """Softmax probabilities of ``x``; layer ``l`` writes its output into the l-th of ``outs``."""
+    weights, biases = layers
+    h = x
+    for layer, (w, b, z) in enumerate(zip(weights, biases, outs)):
+        h = np.matmul(h, w, out=z)
+        h += b
+        if layer < len(weights) - 1:
+            np.maximum(h, 0.0, out=h)
+    h -= np.maximum.reduce(h, axis=1, keepdims=True)
+    np.exp(h, out=h)
+    h /= np.add.reduce(h, axis=1, keepdims=True)
+    return h
 
 
 def forward(params: ModelParams, inputs) -> np.ndarray:
     """Class probabilities, one softmax row per input row."""
     x = _check_inputs(params, inputs)
-    h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return _softmax(h @ params.weights[-1] + params.biases[-1])
+    return _forward((params.weights, params.biases), x, _layer_buffers(params.layer_dims, len(x)))
 
 
 def _check_batch(params: ModelParams, batch: Batch) -> np.ndarray:
@@ -218,42 +232,51 @@ def loss(params: ModelParams, batch: Batch) -> float:
     return evaluate(params, batch)[1]
 
 
-def _gradient(layers, x, targets, grads) -> None:
-    """Write the gradient of the mean cross-entropy into the ``grads`` layer views."""
-    (weights, biases), (grad_w, grad_b) = layers, grads
-    activations = [x]
-    h = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-        activations.append(h)
-    delta = (_softmax(h @ weights[-1] + biases[-1]) - targets) / len(x)
+def _gradient(layers, x, targets, grads, outs: list) -> None:
+    """Write the mean cross-entropy gradient into the ``grads`` views; overwrites ``outs``."""
+    (weights, _), (grad_w, grad_b) = layers, grads
+    delta = _forward(layers, x, outs)
+    delta -= targets
+    delta /= len(x)
+    activations = [x, *outs[:-1]]
     for layer in reversed(range(len(weights))):
         np.matmul(activations[layer].T, delta, out=grad_w[layer])
-        np.sum(delta, axis=0, out=grad_b[layer])
+        np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            # ReLU kills the upstream signal wherever the unit was inactive.
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0.0)
+            # ReLU masks the upstream delta, which overwrites this layer's input buffer.
+            active = activations[layer] > 0.0
+            delta = np.matmul(delta, weights[layer].T, out=activations[layer])
+            delta *= active
 
 
 def backward(params: ModelParams, batch: Batch) -> ModelParams:
     """Analytic gradient of :func:`loss`, returned with the parameter layout."""
     x = _check_batch(params, batch)
-    grad = np.empty(params.num_params)
-    _gradient((params.weights, params.biases), x, batch.targets, _views(params.layer_dims, grad))
-    return ModelParams.unflatten(params.layer_dims, grad)
+    dims, grad = params.layer_dims, np.empty(params.num_params)
+    outs = list(_layer_buffers(dims, len(x)))
+    _gradient((params.weights, params.biases), x, batch.targets, _views(dims, grad), outs)
+    return ModelParams.unflatten(dims, grad)
 
 
-def _step(flat: np.ndarray, grad: np.ndarray, state: OptimizerState, t: int, lr: float) -> None:
-    """Step ``t`` of the solver, in place on ``flat`` and adam's moment vectors."""
+def _step(flat, grad, state: OptimizerState, t: int, lr: float, scratch) -> None:
+    """Step ``t`` of the solver, in place on ``flat``, adam's moments and ``scratch`` (2 x size).
+
+    Adam keeps the operand order of ``flat -= lr * (m/bias1) / (sqrt(v/bias2) + eps)``.
+    """
+    s, r = scratch
     if state.kind == "sgd":
-        flat -= lr * grad
+        flat -= np.multiply(grad, lr, out=s)
         return
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
     m, v = state.first_moment, state.second_moment
-    m[:] = b1 * m + (1 - b1) * grad
-    v[:] = b2 * v + (1 - b2) * grad * grad
-    bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
-    flat -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+    m *= b1
+    m += np.multiply(grad, 1 - b1, out=s)
+    v *= b2
+    v += np.multiply(np.multiply(grad, 1 - b2, out=s), grad, out=s)
+    np.multiply(np.divide(m, 1.0 - b1**t, out=s), lr, out=s)
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=r), out=r)
+    r += eps
+    flat -= np.divide(s, r, out=s)
 
 
 def optimizer_step(
@@ -272,7 +295,7 @@ def optimizer_step(
         state = replace(state, first_moment=np.array(state.first_moment, dtype=np.float64),
                         second_moment=np.array(state.second_moment, dtype=np.float64))
     flat = params.flatten()
-    _step(flat, grad.vector, state, t, lr)
+    _step(flat, grad.vector, state, t, lr, np.empty((2, flat.size)))
     return ModelParams.unflatten(params.layer_dims, flat), replace(state, step_count=t)
 
 
@@ -307,16 +330,20 @@ def train_local(
     if lr == 0:
         return params
 
+    dims, n, t = params.layer_dims, len(samples), 0
     flat, grad = params.flatten(), np.empty(params.num_params)
-    layers, grads = _views(params.layer_dims, flat), _views(params.layer_dims, grad)
-    n, t = len(samples), 0
+    layers, grads, scratch = _views(dims, flat), _views(dims, grad), np.empty((2, flat.size))
+    # One workspace per batch size that occurs: the full batches and a short last one.
+    sizes = {min(batch_size, n), n % batch_size} - {0}
+    work = {rows: list(_layer_buffers(dims, rows)) for rows in sizes}
     for epoch in range(epochs):
         order = np.random.default_rng(rng_seed ^ epoch).permutation(n)
+        xs, ys = inputs[order], samples.targets[order]
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            _gradient(layers, inputs[idx], samples.targets[idx], grads)
+            x, y = xs[start : start + batch_size], ys[start : start + batch_size]
+            _gradient(layers, x, y, grads, work[len(x)])
             t += 1
-            _step(flat, grad, state, t, lr)
+            _step(flat, grad, state, t, lr, scratch)
             if not np.isfinite(flat).all():
                 raise ValueError(f"step {t}: non-finite parameter values")
     return ModelParams.unflatten(params.layer_dims, flat)
@@ -332,5 +359,6 @@ def evaluate(params: ModelParams, samples: Batch) -> tuple[float, float]:
     _check_batch(params, samples)
     probs = forward(params, samples.inputs)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == np.argmax(samples.targets, axis=1)))
-    mean_loss = -(samples.targets * np.log(np.maximum(probs, PROB_FLOOR))).sum() / len(samples)
-    return accuracy, float(mean_loss)
+    np.log(np.maximum(probs, PROB_FLOOR, out=probs), out=probs)
+    probs *= samples.targets
+    return accuracy, float(-probs.sum() / len(samples))

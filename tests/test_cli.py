@@ -214,6 +214,21 @@ class TestRun:
         assert payload["mode"] == "fedavg"
         assert "best_accuracy" in payload
 
+    def test_zero_round_fedavg_writes_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "avg.ini"
+        path.write_text(BASE_CONFIG.format(out=tmp_path / "avg-out").replace("[fedsem]\n", ""))
+        args = ["run", "--config", str(path), "--quiet", "--override", "federation.rounds=0"]
+        assert main(args) == 0
+
+        def reject(constant):
+            raise ValueError(f"result.json holds {constant}, which is not JSON")
+
+        out = tmp_path / "avg-out"
+        payload = json.loads((out / "result.json").read_text(), parse_constant=reject)
+        assert payload["best_accuracy"] is None
+        assert main(["report", "--result", str(out)]) == 0
+        assert "best test accuracy: n/a" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_two_by_one_grid(self, write_config, tmp_path):

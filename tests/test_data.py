@@ -67,9 +67,10 @@ class TestCsv:
 
     def test_out_of_range_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0,0\n1.0,2.0,2\n")
-        with pytest.raises(CsvParseError, match="line 2"):
-            fs.load_csv(path, num_classes=2)
+        for label in ("2", "inf", "-inf", "nan"):
+            path.write_text(f"1.0,2.0,0\n1.0,2.0,{label}\n")
+            with pytest.raises(CsvParseError, match="line 2"):
+                fs.load_csv(path, num_classes=2)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -79,9 +80,10 @@ class TestCsv:
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "nan.csv"
-        path.write_text("1.0,x,0\n")
-        with pytest.raises(CsvParseError, match="line 1"):
-            fs.load_csv(path, num_classes=2)
+        for row in ("1.0,x,0", "1.0,nan,0", "inf,2.0,0", "1.0,-inf,1"):
+            path.write_text(row + "\n")
+            with pytest.raises(CsvParseError, match="line 1"):
+                fs.load_csv(path, num_classes=2)
 
     def test_non_integral_label(self, tmp_path):
         path = tmp_path / "frac.csv"

@@ -407,3 +407,67 @@ class TestFlatKernelMatchesReference:
             params, batch.inputs, batch.targets, epochs, batch_size, lr, solver, seed
         )
         assert trained.flatten().tobytes() == expected
+
+
+def reference_forward(params, inputs):
+    """Expression-style forward pass in plain numpy: fresh arrays per layer."""
+    h = inputs
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+    logits = h @ params.weights[-1] + params.biases[-1]
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+class TestForwardMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 12), min_size=0, max_size=2),
+        dim=st.integers(1, 6),
+        classes=st.integers(2, 5),
+        rows=st.one_of(st.integers(1, 40), st.sampled_from([257, 1500])),
+        scale=st.sampled_from([1.0, 40.0]),
+        threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical(self, hidden, dim, classes, rows, scale, threshold, seed):
+        # A large input scale saturates the softmax, so the 1e-12 loss floor is hit.
+        params = fs.init_params((dim, *hidden, classes), seed=seed)
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, rows)
+        batch = fs.Batch(scale * rng.normal(size=(rows, dim)), fs.one_hot(labels, classes))
+        probs = reference_forward(params, batch.inputs)
+        assert fs.forward(params, batch.inputs).tobytes() == probs.tobytes()
+
+        accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
+        mean_loss = -(batch.targets * np.log(np.maximum(probs, 1e-12))).sum() / rows
+        assert fs.evaluate(params, batch) == (accuracy, float(mean_loss))
+
+        visible = rng.random(rows) < 0.3
+        dataset = fs.Dataset(batch.inputs, labels, visible, classes)
+        hidden_rows = np.flatnonzero(~visible)
+        hidden_probs = reference_forward(params, batch.inputs[hidden_rows])
+        confident = hidden_probs.max(axis=1) >= threshold
+        filled = hidden_rows[confident]
+        expected_labels = labels.copy()
+        expected_labels[filled] = hidden_probs.argmax(axis=1)[confident]
+        labeled = fs.pseudo_label(params, dataset, threshold)
+        assert labeled.labels.tobytes() == expected_labels.tobytes()
+        assert np.flatnonzero(labeled.pseudo_mask).tolist() == filled.tolist()
+        assert np.array_equal(labeled.label_visible, visible | labeled.pseudo_mask)
+
+    def test_caller_arrays_untouched(self):
+        params, batch = random_model_and_batch(23, batch_rows=12)
+        expected = reference_forward(params, batch.inputs).tobytes()
+        before = batch.inputs.tobytes()
+        read_only = np.array(batch.inputs)
+        read_only.flags.writeable = False
+        for inputs in (np.array(batch.inputs), read_only):
+            assert fs.forward(params, inputs).tobytes() == expected
+            assert inputs.tobytes() == before
+        targets = np.array(batch.targets)
+        targets.flags.writeable = False
+        frozen = fs.Batch(read_only, targets)
+        fs.evaluate(params, frozen)
+        assert read_only.tobytes() == before and targets.tobytes() == batch.targets.tobytes()
+        assert frozen.inputs.tobytes() == before and frozen.targets.tobytes() == targets.tobytes()
