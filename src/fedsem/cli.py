@@ -281,9 +281,11 @@ def cmd_report(args) -> int:
         print(f"cannot read result file: {exc}", file=sys.stderr)
         return 1
     try:
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         summary_text = render_run_summary(payload)
         _write_text(path.parent / "summary.txt", summary_text)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"malformed result file {path}: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

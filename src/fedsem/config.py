@@ -35,7 +35,6 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
         "aggregation",
         "master_seed",
         "hidden_dims",
-        "parallel_clients",
     ),
     "fedsem": (
         "phase_switch",
@@ -224,7 +223,6 @@ def build_config(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
         aggregation=_get(raw, "federation", "aggregation", str, "sample_weighted"),
         master_seed=master_seed,
         hidden_dims=_get(raw, "federation", "hidden_dims", _cast_int_tuple, (32,)),
-        parallel_clients=_get(raw, "federation", "parallel_clients", int, 1),
     )
     fedsem = None
     if "fedsem" in raw:

@@ -4,17 +4,11 @@ One round: sample a client subset, broadcast the global parameters, let
 each sampled client train locally on its visible-labeled samples, then
 average the returned parameters and evaluate the new global model on the
 union of all client test indices.
-
-Client work inside a round is embarrassingly parallel: training seeds
-depend only on (master_seed, round_index, client_id), and aggregation
-always reduces in client-id order, so threaded and serial execution
-produce bit-identical results.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +43,6 @@ class FederationConfig:
     aggregation: str = "sample_weighted"
     master_seed: int = 0
     hidden_dims: tuple[int, ...] = (32,)
-    parallel_clients: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -78,8 +71,6 @@ class FederationConfig:
             raise ConfigError("master_seed must be non-negative")
         if any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
-        if self.parallel_clients < 1:
-            raise ConfigError(f"parallel_clients must be >= 1, got {self.parallel_clients}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,18 +209,10 @@ def run_round(
             participants.append(cid)
     if not participants:
         raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
-
-    def train(cid: int) -> ClientUpdate:
-        return client_round(
-            state.global_params, by_id[cid], dataset, config, state.round, labeled_only
-        )
-
-    if config.parallel_clients > 1 and len(participants) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_clients) as pool:
-            updates = list(pool.map(train, participants))
-    else:
-        updates = [train(cid) for cid in participants]
-
+    updates = [
+        client_round(state.global_params, by_id[cid], dataset, config, state.round, labeled_only)
+        for cid in participants
+    ]
     new_params = aggregate(updates, config.aggregation)
     if eval_batch is None:
         eval_batch = evaluation_batch(shards, dataset)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 PHASES = ("phase1", "phase2")
-HISTORY_HEADER = "round,phase,test_accuracy,test_loss,participants,wall_ms"
+HISTORY_HEADER = "round,phase,test_accuracy,test_loss,participants"
 HISTORY_FORMATS = ("csv", "json")
 
 
@@ -22,7 +22,6 @@ class RoundRecord:
     test_accuracy: float
     test_loss: float
     participant_ids: tuple[int, ...]
-    wall_ms: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "participant_ids", tuple(int(i) for i in self.participant_ids))
@@ -32,8 +31,8 @@ class RoundRecord:
             raise ValueError(f"test_accuracy out of [0, 1]: {self.test_accuracy}")
         if not (math.isfinite(self.test_loss) and self.test_loss >= 0.0):
             raise ValueError(f"test_loss must be finite and non-negative: {self.test_loss}")
-        if self.round < 0 or self.wall_ms < 0:
-            raise ValueError("round and wall_ms must be non-negative")
+        if self.round < 0:
+            raise ValueError("round must be non-negative")
         if not self.participant_ids:
             raise ValueError("a round must have at least one participant")
 
@@ -80,7 +79,6 @@ def _record_row(r: RoundRecord) -> dict:
         "test_accuracy": r.test_accuracy,
         "test_loss": r.test_loss,
         "participants": list(r.participant_ids),
-        "wall_ms": r.wall_ms,
     }
 
 
@@ -91,7 +89,6 @@ def _row_record(row: dict) -> RoundRecord:
         test_accuracy=float(row["test_accuracy"]),
         test_loss=float(row["test_loss"]),
         participant_ids=tuple(int(i) for i in row["participants"]),
-        wall_ms=int(row["wall_ms"]),
     )
 
 
@@ -103,8 +100,7 @@ def export_history(history, path, fmt: str = "csv") -> None:
     if fmt == "csv":
         lines = [HISTORY_HEADER] + [
             f"{row['round']},{row['phase']},{row['test_accuracy']:.6f},"
-            f"{row['test_loss']:.6f},{';'.join(map(str, row['participants']))},"
-            f"{row['wall_ms']}"
+            f"{row['test_loss']:.6f},{';'.join(map(str, row['participants']))}"
             for row in rows
         ]
         text = "\n".join(lines) + "\n"
@@ -115,7 +111,7 @@ def export_history(history, path, fmt: str = "csv") -> None:
 
 
 def load_history(path, fmt: str = "csv") -> list[RoundRecord]:
-    """Read back a history file written by :func:`export_history`."""
+    """Read back a history file written by :func:`export_history`; extra columns are ignored."""
     if fmt not in HISTORY_FORMATS:
         raise ValueError(f"unknown history format {fmt!r}, expected one of {HISTORY_FORMATS}")
     with open(path, newline="", encoding="utf-8") as fh:

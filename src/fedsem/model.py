@@ -3,9 +3,8 @@
 This is the training engine every simulated client runs: a multilayer
 perceptron (ReLU hidden layers, softmax output) with exact analytic
 gradients of the mean cross-entropy loss. Values are immutable at the API:
-parameters are one read-only flat vector that concurrent client workers
-share without copying or locking, and no call writes to its caller's
-arrays. Kernels work in place only in buffers they allocate per call.
+parameters are one read-only flat vector, and no call writes to its
+caller's arrays. Kernels work in place only in buffers they allocate per call.
 Values are validated where they enter and leave the API, not per step:
 :func:`train_local` checks only that its private vector stays finite.
 """
@@ -21,6 +20,8 @@ from .errors import ClientSkip, ConfigError, ShapeError
 
 PROB_FLOOR = 1e-12
 SOLVERS = ("sgd", "adam")
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPSILON = 1e-8
 
 
 def _check_dims(layer_dims) -> tuple[int, ...]:
@@ -136,9 +137,6 @@ class OptimizerState:
     step_count: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in SOLVERS:
@@ -149,19 +147,12 @@ class OptimizerState:
             raise ConfigError("adam state requires first and second moments")
 
 
-def init_optimizer(
-    kind: str,
-    params: ModelParams,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> OptimizerState:
+def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
     """Fresh optimizer state for ``params``; adam moments start at zero."""
     if kind == "sgd":
         return OptimizerState(kind="sgd")
     zeros = np.zeros(params.num_params)
-    return OptimizerState(kind, first_moment=zeros, second_moment=zeros.copy(),
-                          beta1=beta1, beta2=beta2, epsilon=epsilon)
+    return OptimizerState(kind, first_moment=zeros, second_moment=zeros.copy())
 
 
 def init_params(layer_dims, seed: int) -> ModelParams:
@@ -267,7 +258,7 @@ def _step(flat, grad, state: OptimizerState, t: int, lr: float, scratch) -> None
     if state.kind == "sgd":
         flat -= np.multiply(grad, lr, out=s)
         return
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    (b1, b2), eps = ADAM_BETAS, ADAM_EPSILON
     m, v = state.first_moment, state.second_moment
     m *= b1
     m += np.multiply(grad, 1 - b1, out=s)
@@ -314,8 +305,8 @@ def train_local(
     ``rng_seed ^ epoch_index``; a final short batch is trained on rather
     than dropped. The input ``params`` object is never modified. A zero
     learning rate is the identity (every step would subtract zero).
-    Training raises ``ValueError`` at the first step that leaves a
-    non-finite parameter.
+    Training raises ``ValueError``, without numpy warnings, at the first
+    step that leaves a non-finite parameter.
     """
     if len(samples) == 0:
         raise ClientSkip("empty training view")
@@ -336,16 +327,18 @@ def train_local(
     # One workspace per batch size that occurs: the full batches and a short last one.
     sizes = {min(batch_size, n), n % batch_size} - {0}
     work = {rows: list(_layer_buffers(dims, rows)) for rows in sizes}
-    for epoch in range(epochs):
-        order = np.random.default_rng(rng_seed ^ epoch).permutation(n)
-        xs, ys = inputs[order], samples.targets[order]
-        for start in range(0, n, batch_size):
-            x, y = xs[start : start + batch_size], ys[start : start + batch_size]
-            _gradient(layers, x, y, grads, work[len(x)])
-            t += 1
-            _step(flat, grad, state, t, lr, scratch)
-            if not np.isfinite(flat).all():
-                raise ValueError(f"step {t}: non-finite parameter values")
+    # A diverging step is reported by the finiteness check, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = np.random.default_rng(rng_seed ^ epoch).permutation(n)
+            xs, ys = inputs[order], samples.targets[order]
+            for start in range(0, n, batch_size):
+                x, y = xs[start : start + batch_size], ys[start : start + batch_size]
+                _gradient(layers, x, y, grads, work[len(x)])
+                t += 1
+                _step(flat, grad, state, t, lr, scratch)
+                if not np.isfinite(flat).all():
+                    raise ValueError(f"step {t}: non-finite parameter values")
     return ModelParams.unflatten(params.layer_dims, flat)
 
 

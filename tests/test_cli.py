@@ -115,11 +115,15 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "federation.rounds" in capsys.readouterr().err
 
-    def test_unknown_key_exit_2(self, tmp_path, capsys):
+    def test_unknown_key_exit_2(self, write_config, tmp_path, capsys):
         path = tmp_path / "typo.ini"
         path.write_text("[federation]\nrounds = 4\nlearning_rte = 0.1\n")
         assert main(["run", "--config", str(path)]) == 2
         assert "learning_rte" in capsys.readouterr().err
+        # The removed thread-pool key is rejected like any typo.
+        assert main(["run", "--config", str(write_config()), "--quiet",
+                     "--override", "federation.parallel_clients=4"]) == 2
+        assert "federation.parallel_clients" in capsys.readouterr().err
 
     def test_override_beats_file(self, write_config, tmp_path):
         config = write_config()
@@ -138,14 +142,6 @@ class TestRun:
         main(["run", "--config", str(config), "--quiet"])
         assert (tmp_path / "run-out" / "result.json").read_bytes() == first_result
         assert (tmp_path / "run-out" / "history.csv").read_bytes() == first_history
-
-    def test_parallel_clients_change_nothing(self, write_config, tmp_path):
-        config = write_config()
-        main(["run", "--config", str(config), "--quiet"])
-        serial = (tmp_path / "run-out" / "result.json").read_bytes()
-        main(["run", "--config", str(config), "--quiet",
-              "--override", "federation.parallel_clients=4"])
-        assert (tmp_path / "run-out" / "result.json").read_bytes() == serial
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "csvless.ini"
@@ -315,6 +311,19 @@ class TestReport:
 
     def test_missing_result_exit_1(self, tmp_path, capsys):
         assert main(["report", "--result", str(tmp_path / "nope")]) == 1
+
+    def test_malformed_payload_exit_1(self, write_config, tmp_path, capsys):
+        main(["run", "--config", str(write_config()), "--quiet"])
+        payload = json.loads((tmp_path / "run-out" / "result.json").read_text())
+        bad_phase1 = dict(payload, accuracy_phase1="0.25")
+        for name, bad in (("list.json", []), ("string.json", bad_phase1)):
+            path = tmp_path / name
+            path.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main(["report", "--result", str(path), "--quiet"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"malformed result file {path}")
+            assert len(err.splitlines()) == 1
 
 
 class TestDatasetFileWorkflow:

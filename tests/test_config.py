@@ -53,7 +53,6 @@ solver = sgd
 aggregation = uniform
 master_seed = 5
 hidden_dims = 16,8
-parallel_clients = 2
 
 [fedsem]
 phase_switch = on_convergence
@@ -85,7 +84,6 @@ solver = adam
 aggregation = sample_weighted
 master_seed = 0
 hidden_dims = 32
-parallel_clients = 1
 
 [output]
 formats = csv,json
@@ -122,7 +120,6 @@ solver = sgd
 aggregation = uniform
 master_seed = 5
 hidden_dims = 16,8
-parallel_clients = 2
 
 [fedsem]
 phase_switch = on_convergence

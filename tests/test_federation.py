@@ -271,7 +271,6 @@ class TestRunRound:
         assert len(record.participant_ids) == config.clients_per_round
         assert record.participant_ids == tuple(sorted(record.participant_ids))
         assert record.phase == "phase1"
-        assert record.wall_ms == 0
 
     def test_skip_and_replace_preserves_count(self):
         masked, shards = tiny_pipeline()
@@ -300,15 +299,14 @@ class TestRunRound:
                 shards, nothing, config, labeled_only=True,
             )
 
-    def test_parallel_matches_serial_bitwise(self):
+    def test_shard_order_changes_nothing(self):
         masked, shards = tiny_pipeline()
-        serial_cfg = tiny_federation()
-        parallel_cfg = tiny_federation(parallel_clients=4)
-        init = fs.initial_params(serial_cfg, masked)
-        serial = fs.run_round(fs.ServerState(init, round=0), shards, masked, serial_cfg)
-        parallel = fs.run_round(fs.ServerState(init, round=0), shards, masked, parallel_cfg)
-        assert serial.global_params.flatten().tobytes() == parallel.global_params.flatten().tobytes()
-        assert serial.history == parallel.history
+        config = tiny_federation()
+        init = fs.initial_params(config, masked)
+        a = fs.run_round(fs.ServerState(init, round=0), shards, masked, config)
+        b = fs.run_round(fs.ServerState(init, round=0), list(reversed(shards)), masked, config)
+        assert a.global_params.flatten().tobytes() == b.global_params.flatten().tobytes()
+        assert a.history == b.history
 
 
 class TestRunFedavg:

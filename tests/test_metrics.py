@@ -58,27 +58,43 @@ class TestRoundRecord:
 class TestExportHistory:
     def sample_history(self):
         return [
-            fs.RoundRecord(0, "phase1", 0.5, 1.25, (1, 3, 5), wall_ms=12),
-            fs.RoundRecord(1, "phase2", 0.8125, 0.5, (0, 2), wall_ms=40),
+            fs.RoundRecord(0, "phase1", 0.5, 1.25, (1, 3, 5)),
+            fs.RoundRecord(1, "phase2", 0.8125, 0.5, (0, 2)),
         ]
+
+    # The same history as written before the always-zero wall_ms column was dropped.
+    OLD_CSV = (
+        "round,phase,test_accuracy,test_loss,participants,wall_ms\n"
+        "0,phase1,0.500000,1.250000,1;3;5,0\n"
+        "1,phase2,0.812500,0.500000,0;2,0\n"
+    )
+    OLD_JSON = (
+        '[{"round": 0, "phase": "phase1", "test_accuracy": 0.5, "test_loss": 1.25,'
+        ' "participants": [1, 3, 5], "wall_ms": 0},'
+        ' {"round": 1, "phase": "phase2", "test_accuracy": 0.8125, "test_loss": 0.5,'
+        ' "participants": [0, 2], "wall_ms": 0}]\n'
+    )
 
     def test_empty_csv_is_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
         fs.export_history([], path, "csv")
-        assert path.read_text() == "round,phase,test_accuracy,test_loss,participants,wall_ms\n"
+        assert path.read_text() == "round,phase,test_accuracy,test_loss,participants\n"
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "h.csv"
         fs.export_history(self.sample_history(), path, "csv")
         lines = path.read_text().splitlines()
-        assert lines[1] == "0,phase1,0.500000,1.250000,1;3;5,12"
-        assert lines[2] == "1,phase2,0.812500,0.500000,0;2,40"
+        assert lines[1] == "0,phase1,0.500000,1.250000,1;3;5"
+        assert lines[2] == "1,phase2,0.812500,0.500000,0;2"
 
     def test_json_round_trip_equal_records(self, tmp_path):
         path = tmp_path / "h.json"
         history = self.sample_history()
         fs.export_history(history, path, "json")
         assert fs.load_history(path, "json") == history
+        old = tmp_path / "old.json"
+        old.write_text(self.OLD_JSON)
+        assert fs.load_history(old, "json") == history
 
     def test_csv_round_trip_at_printed_precision(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -89,9 +105,11 @@ class TestExportHistory:
             assert parsed.round == original.round
             assert parsed.phase == original.phase
             assert parsed.participant_ids == original.participant_ids
-            assert parsed.wall_ms == original.wall_ms
             assert parsed.test_accuracy == pytest.approx(original.test_accuracy, abs=5e-7)
             assert parsed.test_loss == pytest.approx(original.test_loss, abs=5e-7)
+        old = tmp_path / "old.csv"
+        old.write_text(self.OLD_CSV)
+        assert fs.load_history(old, "csv") == loaded
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_byte_deterministic(self, tmp_path, fmt):

@@ -1,6 +1,7 @@
 """Classifier core: initialization, forward/loss/backward, solvers, training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,10 +248,12 @@ class TestTrainLocal:
 
     def test_divergence_raises(self):
         params = fs.init_params([5, 4, 3], seed=7)
-        with pytest.raises(ValueError, match="non-finite"):
-            fs.train_local(
-                params, self.batch(seed=7), epochs=50, batch_size=4, lr=1e3, solver="sgd"
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                fs.train_local(
+                    params, self.batch(seed=7), epochs=50, batch_size=4, lr=1e3, solver="sgd"
+                )
 
     def test_keeps_last_short_batch(self):
         # 5 samples at batch size 4 must take two steps, not one.
