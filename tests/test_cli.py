@@ -115,15 +115,11 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "federation.rounds" in capsys.readouterr().err
 
-    def test_unknown_key_exit_2(self, write_config, tmp_path, capsys):
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "typo.ini"
         path.write_text("[federation]\nrounds = 4\nlearning_rte = 0.1\n")
         assert main(["run", "--config", str(path)]) == 2
         assert "learning_rte" in capsys.readouterr().err
-        # The removed thread-pool key is rejected like any typo.
-        assert main(["run", "--config", str(write_config()), "--quiet",
-                     "--override", "federation.parallel_clients=4"]) == 2
-        assert "federation.parallel_clients" in capsys.readouterr().err
 
     def test_override_beats_file(self, write_config, tmp_path):
         config = write_config()
@@ -142,6 +138,17 @@ class TestRun:
         main(["run", "--config", str(config), "--quiet"])
         assert (tmp_path / "run-out" / "result.json").read_bytes() == first_result
         assert (tmp_path / "run-out" / "history.csv").read_bytes() == first_history
+
+    def test_parallel_clients_change_nothing(self, write_config, tmp_path, capsys):
+        config = write_config()
+        main(["run", "--config", str(config), "--quiet"])
+        serial = (tmp_path / "run-out" / "result.json").read_bytes()
+        # The removed thread-pool key is rejected like any typo, before
+        # anything is written over the previous run's outputs.
+        assert main(["run", "--config", str(config), "--quiet",
+                     "--override", "federation.parallel_clients=4"]) == 2
+        assert "federation.parallel_clients" in capsys.readouterr().err
+        assert (tmp_path / "run-out" / "result.json").read_bytes() == serial
 
     def test_runtime_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "csvless.ini"
