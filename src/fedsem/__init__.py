@@ -20,7 +20,7 @@ from .data import (
     save_csv,
     split_train_test,
 )
-from .errors import ClientSkip, ConfigError, CsvParseError, RoundFailure, ShapeError
+from .errors import ConfigError, CsvParseError, RoundFailure, ShapeError
 from .federation import (
     AGGREGATIONS,
     ClientUpdate,
@@ -74,7 +74,6 @@ __all__ = [
     "AGGREGATIONS",
     "Batch",
     "ClientShard",
-    "ClientSkip",
     "ClientUpdate",
     "ConfigError",
     "CsvParseError",

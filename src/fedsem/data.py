@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,10 +23,24 @@ PARTITION_SCHEMES = ("iid", "shards", "dirichlet")
 MASK_MODES = ("per_client", "global")
 
 
-def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
+# Arrays this package made read-only itself, by id. No caller holds a writable
+# handle to them, so frozen values share them instead of copying. The values are
+# weak: an entry never keeps an array alive and leaves with it.
+_OWNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make a fresh array that only this package holds read-only, in place."""
+    arr.flags.writeable = False
+    _OWNED[id(arr)] = arr
+    return arr
+
+
+def _frozen(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only ``dtype`` array: itself if this package froze it, else a copy."""
+    if _OWNED.get(id(arr)) is arr and arr.dtype == dtype:
+        return arr
+    return _freeze(np.array(arr, dtype=dtype, copy=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +52,9 @@ class Dataset:
     training path may read them. Validation therefore only range-checks
     the visible entries, which lets fencing tests overwrite hidden ones
     with out-of-range sentinels. ``pseudo_mask`` marks visible labels
-    that were filled in by a model rather than observed.
+    that were filled in by a model rather than observed. A caller's arrays
+    are copied; arrays of another frozen value are shared, so ``replace``
+    keeps one copy of each unchanged field.
     """
 
     features: np.ndarray
@@ -51,11 +68,10 @@ class Dataset:
         labels = _frozen(self.labels, np.int64)
         visible = _frozen(self.label_visible, bool)
         pseudo = (
-            np.zeros(labels.shape[0], dtype=bool)
+            _freeze(np.zeros(labels.shape[0], dtype=bool))
             if self.pseudo_mask is None
-            else np.array(self.pseudo_mask, dtype=bool, copy=True)
+            else _frozen(self.pseudo_mask, bool)
         )
-        pseudo.flags.writeable = False
         if features.ndim != 2:
             raise ConfigError(f"features must be 2-d, got shape {features.shape}")
         n = features.shape[0]

@@ -19,14 +19,5 @@ class CsvParseError(ValueError):
         self.line_number = line_number
 
 
-class ClientSkip(Exception):
-    """A client cannot train this round; the caller decides how to replace it."""
-
-    def __init__(self, reason: str = "no trainable samples", client_id: int | None = None):
-        text = reason if client_id is None else f"client {client_id}: {reason}"
-        super().__init__(text)
-        self.client_id = client_id
-
-
 class RoundFailure(RuntimeError):
     """A federated round (or phase) could not produce any client update."""

@@ -3,18 +3,19 @@
 One round: sample a client subset, broadcast the global parameters, let
 each sampled client train locally on its visible-labeled samples, then
 average the returned parameters and evaluate the new global model on the
-union of all client test indices.
+union of all client test indices. The sampled clients train together, in
+one lockstep :func:`~fedsem.model.train_local` call per round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard, Dataset, one_hot
-from .errors import ClientSkip, ConfigError, RoundFailure, ShapeError
+from .data import ClientShard, Dataset, _freeze, one_hot
+from .errors import ConfigError, RoundFailure, ShapeError
 from .metrics import RoundRecord
 from .model import (
     Batch,
@@ -112,34 +113,42 @@ def training_view(shard: ClientShard, dataset: Dataset, labeled_only: bool) -> n
 
 
 def _view_batch(dataset: Dataset, indices: np.ndarray) -> Batch:
+    """The samples at ``indices``, gathered once into arrays the batch keeps."""
     return Batch(
-        inputs=dataset.features[indices],
-        targets=one_hot(dataset.labels[indices], dataset.num_classes),
+        inputs=_freeze(dataset.features[indices]),
+        targets=_freeze(one_hot(dataset.labels[indices], dataset.num_classes)),
     )
 
 
 def client_round(
     global_params: ModelParams,
-    shard: ClientShard,
+    cohort: Sequence[tuple[ClientShard, np.ndarray]],
     dataset: Dataset,
     config: FederationConfig,
     round_index: int,
-    labeled_only: bool = False,
-) -> ClientUpdate:
-    """Local training of one client for one round; pure in all inputs."""
-    view = training_view(shard, dataset, labeled_only)
-    if view.size == 0:
-        raise ClientSkip("no trainable samples in view", client_id=shard.client_id)
+) -> list[ClientUpdate]:
+    """Local training of one round's cohort; pure in all inputs.
+
+    ``cohort`` lists ``(shard, view)`` pairs, ``view`` being the client's
+    :func:`training_view`. The clients' rows are gathered into one batch and
+    trained by one lockstep :func:`train_local` call, each client with its
+    own seed; the updates come back in cohort order.
+    """
+    shards, views = zip(*cohort)
     trained = train_local(
         global_params,
-        _view_batch(dataset, view),
+        _view_batch(dataset, np.concatenate(views)),
         epochs=config.local_epochs,
         batch_size=config.batch_size,
         lr=config.learning_rate,
         solver=config.solver,
-        rng_seed=derive_seed(config.master_seed, round_index, shard.client_id),
+        rng_seed=[derive_seed(config.master_seed, round_index, s.client_id) for s in shards],
+        sizes=[v.size for v in views],
     )
-    return ClientUpdate(client_id=shard.client_id, params=trained, num_samples=int(view.size))
+    return [
+        ClientUpdate(client_id=s.client_id, params=p, num_samples=int(v.size))
+        for s, p, v in zip(shards, trained, views)
+    ]
 
 
 def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
@@ -200,19 +209,16 @@ def run_round(
     model is evaluated on ``eval_batch`` (default: built from ``shards``).
     """
     by_id = {s.client_id: s for s in shards}
-    order = _round_order(config.master_seed, state.round, by_id.keys())
-    participants = []
-    for cid in order:
-        if len(participants) == config.clients_per_round:
+    cohort = []
+    for cid in _round_order(config.master_seed, state.round, by_id.keys()):
+        if len(cohort) == config.clients_per_round:
             break
-        if training_view(by_id[cid], dataset, labeled_only).size:
-            participants.append(cid)
-    if not participants:
+        view = training_view(by_id[cid], dataset, labeled_only)
+        if view.size:
+            cohort.append((by_id[cid], view))
+    if not cohort:
         raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
-    updates = [
-        client_round(state.global_params, by_id[cid], dataset, config, state.round, labeled_only)
-        for cid in participants
-    ]
+    updates = client_round(state.global_params, cohort, dataset, config, state.round)
     new_params = aggregate(updates, config.aggregation)
     if eval_batch is None:
         eval_batch = evaluation_batch(shards, dataset)
@@ -222,7 +228,7 @@ def run_round(
         phase=phase,
         test_accuracy=accuracy,
         test_loss=mean_loss,
-        participant_ids=tuple(sorted(participants)),
+        participant_ids=tuple(sorted(u.client_id for u in updates)),
     )
     return ServerState(
         global_params=new_params,

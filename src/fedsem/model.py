@@ -6,17 +6,23 @@ gradients of the mean cross-entropy loss. Values are immutable at the API:
 parameters are one read-only flat vector, and no call writes to its
 caller's arrays. Kernels work in place only in buffers they allocate per call.
 Values are validated where they enter and leave the API, not per step:
-:func:`train_local` checks only that its private vector stays finite.
+:func:`train_local` checks only that its private vectors stay finite.
+
+:func:`train_local` trains a cohort, the clients of one federated round,
+in lockstep: each step runs the forward, gradient and solver kernels once
+over all clients' stacked mini-batches and ``(C, P)`` parameter arrays,
+with results bit-identical to training each client alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import _frozen
-from .errors import ClientSkip, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 
 PROB_FLOOR = 1e-12
 SOLVERS = ("sgd", "adam")
@@ -32,12 +38,19 @@ def _check_dims(layer_dims) -> tuple[int, ...]:
 
 
 def _views(dims, flat: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (weights, biases) views into a vector in the ``flatten`` layout."""
+    """Per-layer (weights, biases) views into vectors in the ``flatten`` layout.
+
+    ``flat`` is one vector, or a ``(C, P)`` stack of them; then the views are
+    stacked too, and each bias gets a row axis, ``(C, 1, d)``, to broadcast
+    over a ``(C, rows, d)`` batch.
+    """
+    lead = flat.shape[:-1]
     weights, biases, offset = [], [], 0
     for din, dout in zip(dims[:-1], dims[1:]):
-        weights.append(flat[offset : offset + din * dout].reshape(din, dout))
+        weights.append(flat[..., offset : offset + din * dout].reshape(*lead, din, dout))
         offset += din * dout
-        biases.append(flat[offset : offset + dout])
+        bias = flat[..., offset : offset + dout]
+        biases.append(bias[..., None, :] if lead else bias)
         offset += dout
     return tuple(weights), tuple(biases)
 
@@ -92,8 +105,11 @@ class ModelParams:
     @classmethod
     def unflatten(cls, layer_dims, vector) -> "ModelParams":
         """Parameters over one copy of a flat vector; inverse of :meth:`flatten`."""
-        dims = _check_dims(layer_dims)
-        vec = np.array(vector, dtype=np.float64).ravel()
+        return cls._adopt(_check_dims(layer_dims), np.array(vector, dtype=np.float64).ravel())
+
+    @classmethod
+    def _adopt(cls, dims: tuple[int, ...], vec: np.ndarray) -> "ModelParams":
+        """Parameters over ``vec`` itself, which nothing may write to afterwards."""
         expected = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
         if vec.size != expected:
             raise ShapeError(f"flat vector has {vec.size} entries, expected {expected}")
@@ -186,7 +202,10 @@ def _layer_buffers(dims, rows: int):
 
 
 def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
-    """Softmax probabilities of ``x``; layer ``l`` writes its output into the l-th of ``outs``."""
+    """Softmax probabilities of ``x``; layer ``l`` writes its output into the l-th of ``outs``.
+
+    ``x`` is ``(rows, d)`` for one parameter vector or ``(C, rows, d)`` for stacked ones.
+    """
     weights, biases = layers
     h = x
     for layer, (w, b, z) in enumerate(zip(weights, biases, outs)):
@@ -194,9 +213,9 @@ def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
         h += b
         if layer < len(weights) - 1:
             np.maximum(h, 0.0, out=h)
-    h -= np.maximum.reduce(h, axis=1, keepdims=True)
+    h -= np.maximum.reduce(h, axis=-1, keepdims=True)
     np.exp(h, out=h)
-    h /= np.add.reduce(h, axis=1, keepdims=True)
+    h /= np.add.reduce(h, axis=-1, keepdims=True)
     return h
 
 
@@ -224,42 +243,50 @@ def loss(params: ModelParams, batch: Batch) -> float:
 
 
 def _gradient(layers, x, targets, grads, outs: list) -> None:
-    """Write the mean cross-entropy gradient into the ``grads`` views; overwrites ``outs``."""
+    """Write the mean cross-entropy gradient into the ``grads`` views; overwrites ``outs``.
+
+    Every array is stacked: ``x`` is ``(C, rows, d)``, one batch per parameter
+    vector, and ``grads`` are :func:`_views` of a ``(C, P)`` array.
+    """
     (weights, _), (grad_w, grad_b) = layers, grads
     delta = _forward(layers, x, outs)
     delta -= targets
-    delta /= len(x)
+    delta /= x.shape[-2]
     activations = [x, *outs[:-1]]
     for layer in reversed(range(len(weights))):
-        np.matmul(activations[layer].T, delta, out=grad_w[layer])
-        np.add.reduce(delta, axis=0, out=grad_b[layer])
+        np.matmul(activations[layer].swapaxes(-1, -2), delta, out=grad_w[layer])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b[layer])
         if layer > 0:
             # ReLU masks the upstream delta, which overwrites this layer's input buffer.
             active = activations[layer] > 0.0
-            delta = np.matmul(delta, weights[layer].T, out=activations[layer])
+            delta = np.matmul(delta, weights[layer].swapaxes(-1, -2), out=activations[layer])
             delta *= active
 
 
 def backward(params: ModelParams, batch: Batch) -> ModelParams:
     """Analytic gradient of :func:`loss`, returned with the parameter layout."""
     x = _check_batch(params, batch)
-    dims, grad = params.layer_dims, np.empty(params.num_params)
-    outs = list(_layer_buffers(dims, len(x)))
-    _gradient((params.weights, params.biases), x, batch.targets, _views(dims, grad), outs)
+    dims, grad = params.layer_dims, np.empty((1, params.num_params))
+    outs = [np.empty((1, len(x), d)) for d in dims[1:]]
+    layers = _views(dims, params.vector[None])
+    _gradient(layers, x[None], batch.targets[None], _views(dims, grad), outs)
     return ModelParams.unflatten(dims, grad)
 
 
-def _step(flat, grad, state: OptimizerState, t: int, lr: float, scratch) -> None:
-    """Step ``t`` of the solver, in place on ``flat``, adam's moments and ``scratch`` (2 x size).
+def _step(flat, grad, moments, t: int, lr: float, scratch) -> None:
+    """Step ``t`` of the solver, in place on ``flat``, the moments and ``scratch``.
 
-    Adam keeps the operand order of ``flat -= lr * (m/bias1) / (sqrt(v/bias2) + eps)``.
+    ``moments`` is None for sgd and adam's ``(m, v)``; ``scratch`` holds
+    arrays shaped like ``flat``, one for sgd and two for adam. The arrays may
+    be ``(C, P)`` stacks: every operation is elementwise. Adam keeps the
+    operand order of ``flat -= lr * (m/bias1) / (sqrt(v/bias2) + eps)``.
     """
-    s, r = scratch
-    if state.kind == "sgd":
-        flat -= np.multiply(grad, lr, out=s)
+    if moments is None:
+        flat -= np.multiply(grad, lr, out=scratch[0])
         return
+    s, r = scratch
     (b1, b2), eps = ADAM_BETAS, ADAM_EPSILON
-    m, v = state.first_moment, state.second_moment
+    m, v = moments
     m *= b1
     m += np.multiply(grad, 1 - b1, out=s)
     v *= b2
@@ -282,11 +309,13 @@ def optimizer_step(
     if grad.layer_dims != params.layer_dims:
         raise ShapeError(f"gradient dims {grad.layer_dims} do not match params {params.layer_dims}")
     t = state.step_count + 1
+    moments = None
     if state.kind == "adam":
-        state = replace(state, first_moment=np.array(state.first_moment, dtype=np.float64),
-                        second_moment=np.array(state.second_moment, dtype=np.float64))
+        moments = (np.array(state.first_moment, dtype=np.float64),
+                   np.array(state.second_moment, dtype=np.float64))
+        state = replace(state, first_moment=moments[0], second_moment=moments[1])
     flat = params.flatten()
-    _step(flat, grad.vector, state, t, lr, np.empty((2, flat.size)))
+    _step(flat, grad.vector, moments, t, lr, np.empty((2, flat.size)))
     return ModelParams.unflatten(params.layer_dims, flat), replace(state, step_count=t)
 
 
@@ -297,8 +326,9 @@ def train_local(
     batch_size: int,
     lr: float,
     solver: str = "sgd",
-    rng_seed: int = 0,
-) -> ModelParams:
+    rng_seed: int | Sequence[int] = 0,
+    sizes: Sequence[int] | None = None,
+) -> ModelParams | tuple[ModelParams, ...]:
     """Mini-batch training over ``samples`` for ``epochs`` passes.
 
     Each epoch reshuffles the sample order with a generator seeded by
@@ -307,39 +337,107 @@ def train_local(
     learning rate is the identity (every step would subtract zero).
     Training raises ``ValueError``, without numpy warnings, at the first
     step that leaves a non-finite parameter.
+
+    Cohort form: with ``sizes``, ``samples`` holds the rows of C clients
+    back to back, ``sizes[i]`` rows for client ``i``, and ``rng_seed`` holds
+    one seed per client. Each client trains from ``params`` exactly as a
+    call with its own rows and seed would, and the results come back as a
+    tuple in client order. The clients train in lockstep: parameters,
+    gradients and adam moments are ``(C, P)`` arrays, and each step runs the
+    kernels once over the stacked ``(C, rows, d)`` mini-batches. Clients are
+    sorted by size inside the call, so those still training are a prefix of
+    the stack; at each step every contiguous run of clients whose batches
+    have equal rows is one kernel call on slices of the ``(C, P)`` arrays. A
+    diverging cohort reports its earliest bad step. One client is the same
+    code with ``C = 1``.
     """
-    if len(samples) == 0:
-        raise ClientSkip("empty training view")
+    cohort = sizes is not None
+    sizes = [int(s) for s in sizes] if cohort else [len(samples)]
+    seeds = [int(s) for s in rng_seed] if cohort else [rng_seed]
+    if not sizes or min(sizes) < 1:
+        raise ValueError("every client needs at least one training sample")
+    if len(seeds) != len(sizes):
+        raise ConfigError(f"need one seed per client: {len(seeds)} seeds, {len(sizes)} clients")
+    if sum(sizes) != len(samples):
+        raise ShapeError(f"client sizes sum to {sum(sizes)}, but the batch has {len(samples)} rows")
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if lr < 0:
         raise ConfigError(f"learning rate must be non-negative, got {lr}")
-    state = init_optimizer(solver, params)
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
     inputs = _check_batch(params, samples)
-    if lr == 0:
-        return params
+    trained = [params] * len(sizes) if lr == 0 else _lockstep(
+        params, inputs, samples.targets, sizes, seeds, epochs, batch_size, lr, solver
+    )
+    return tuple(trained) if cohort else trained[0]
 
-    dims, n, t = params.layer_dims, len(samples), 0
-    flat, grad = params.flatten(), np.empty(params.num_params)
-    layers, grads, scratch = _views(dims, flat), _views(dims, grad), np.empty((2, flat.size))
-    # One workspace per batch size that occurs: the full batches and a short last one.
-    sizes = {min(batch_size, n), n % batch_size} - {0}
-    work = {rows: list(_layer_buffers(dims, rows)) for rows in sizes}
+
+def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, solver) -> list:
+    """The trained parameters of each client of :func:`train_local`'s cohort, in client order."""
+    dims, count = params.layer_dims, len(sizes)
+    # Longest schedule first: the clients still training at any step are a prefix.
+    rank = sorted(range(count), key=lambda i: -sizes[i])
+    n = np.array([sizes[i] for i in rank])
+    first = np.cumsum([0, *sizes])[rank]  # each client's first row in ``inputs``
+    segment = np.cumsum([0, *n])  # each client's slice of ``order``
+    batches = -(-n // batch_size)
+    steps = epochs * batches
+    # The schedule, client by step: batch rows (0 once done) and first slot in ``order``.
+    tick = np.arange(steps[0])
+    within = tick % batches[:, None] * batch_size
+    rows = np.where(tick < steps[:, None], np.minimum(batch_size, n[:, None] - within), 0)
+    starts = segment[:-1, None] + within
+    live = np.count_nonzero(rows, axis=0).tolist()
+    shuffles = [[] for _ in tick]  # clients that begin an epoch at each step
+    for i, k in zip(*np.nonzero((within == 0) & (rows > 0))):
+        shuffles[k].append((int(i), int(k // batches[i])))
+    runs = [[0] for _ in tick]  # first client of each run of equal batch rows
+    for i, k in zip(*np.nonzero(rows[1:] != rows[:-1])):
+        if i + 1 < live[k]:
+            runs[k].append(int(i) + 1)
+
+    # Each client's shuffled row order of its current epoch, as rows of ``inputs``.
+    order = np.empty(segment[-1], dtype=np.intp)
+    flat = np.empty((count, params.num_params))
+    flat[...] = params.vector
+    grad = np.empty_like(flat)
+    layers, grads = _views(dims, flat), _views(dims, grad)
+    moments = (np.zeros_like(flat), np.zeros_like(flat)) if solver == "adam" else None
+    # Sgd scales the gradient in place; adam needs two arrays of its own.
+    scratch = grad[None] if moments is None else np.empty((2, *flat.shape))
+    # One buffer per layer, big enough for the widest step; each run views its front.
+    work = [np.empty(count * min(batch_size, int(n[0])) * d) for d in dims[1:]]
+    arange = np.arange(batch_size)
     # A diverging step is reported by the finiteness check, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = np.random.default_rng(rng_seed ^ epoch).permutation(n)
-            xs, ys = inputs[order], samples.targets[order]
-            for start in range(0, n, batch_size):
-                x, y = xs[start : start + batch_size], ys[start : start + batch_size]
-                _gradient(layers, x, y, grads, work[len(x)])
-                t += 1
-                _step(flat, grad, state, t, lr, scratch)
-                if not np.isfinite(flat).all():
-                    raise ValueError(f"step {t}: non-finite parameter values")
-    return ModelParams.unflatten(params.layer_dims, flat)
+        for k, (alive, shuffle, edges) in enumerate(zip(live, shuffles, runs)):
+            for i, epoch in shuffle:
+                perm = np.random.default_rng(seeds[rank[i]] ^ epoch).permutation(int(n[i]))
+                order[segment[i] : segment[i + 1]] = first[i] + perm
+            for a, b in zip(edges, [*edges[1:], alive]):
+                r = rows[a, k]
+                picked = order[starts[a:b, k, None] + arange[:r]]
+                outs = [w[: (b - a) * r * d].reshape(b - a, r, d) for w, d in zip(work, dims[1:])]
+                _gradient(
+                    _slice(layers, a, b), inputs[picked], targets[picked], _slice(grads, a, b), outs
+                )
+            live_moments = None if moments is None else tuple(m[:alive] for m in moments)
+            _step(flat[:alive], grad[:alive], live_moments, k + 1, lr, scratch[:, :alive])
+            if not np.isfinite(flat[:alive]).all():
+                raise ValueError(f"step {k + 1}: non-finite parameter values")
+    # The results are rows of ``flat``: no copy, and no hole left where it was.
+    trained = [None] * count
+    for i, client in enumerate(rank):
+        trained[client] = ModelParams._adopt(dims, flat[i])
+    return trained
+
+
+def _slice(views, a: int, b: int):
+    """Clients ``a`` to ``b`` of stacked per-layer views."""
+    return tuple(tuple(v[a:b] for v in group) for group in views)
 
 
 def predict(params: ModelParams, inputs) -> np.ndarray:

@@ -169,6 +169,16 @@ class TestRun:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_divergence_names_earliest_step(self, tmp_path, capsys):
+        main([
+            "run", "--config", str(CANONICAL_INI), "--out", str(tmp_path / "o"), "--quiet",
+            "--override", "federation.learning_rate=50",
+            "--override", "federation.solver=sgd",
+        ])
+        assert capsys.readouterr().err == (
+            "error during training: step 17: non-finite parameter values\n"
+        )
+
     def test_outputs_confined_to_directory(self, write_config, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = write_config(out_dir="nested/run")

@@ -279,6 +279,45 @@ class TestMaskLabels:
         assert not masked.label_visible.all()
 
 
+class TestDatasetArrays:
+    def sample(self, n=30):
+        rng = np.random.default_rng(3)
+        return rng.normal(size=(n, 4)), rng.integers(0, 3, n), np.ones(n, dtype=bool)
+
+    def test_derived_datasets_share_the_feature_matrix(self):
+        ds = fs.generate_synthetic(60, 3, 4, 3.0, seed=1)
+        spec = fs.PartitionSpec("iid", num_clients=3, seed=1)
+        shards = fs.split_train_test(fs.partition(ds, spec), seed=1)
+        masked = fs.mask_labels(ds, shards, 0.5, seed=1)
+        labeled = fs.pseudo_label(fs.init_params((4, 3), seed=0), masked)
+        assert np.shares_memory(masked.features, ds.features)
+        assert np.shares_memory(labeled.features, ds.features)
+        assert np.shares_memory(masked.labels, ds.labels)
+        assert not np.shares_memory(masked.label_visible, ds.label_visible)
+        assert not np.shares_memory(labeled.labels, masked.labels)
+
+    def test_caller_arrays_are_copied(self):
+        features, labels, visible = self.sample()
+        expected = features.copy()
+        read_only_view = features.view()
+        read_only_view.flags.writeable = False
+        frozen_by_caller = features.copy()
+        frozen_by_caller.flags.writeable = False
+        built = [
+            fs.Dataset(array, labels, visible, 3)
+            for array in (features, read_only_view, frozen_by_caller)
+        ]
+        for ds in built:
+            assert not np.shares_memory(ds.features, features)
+            assert not np.shares_memory(ds.features, frozen_by_caller)
+        features[:] = 7.0
+        frozen_by_caller.flags.writeable = True
+        frozen_by_caller[:] = 7.0
+        for ds in built:
+            assert ds.features.tobytes() == expected.tobytes()
+            assert not ds.features.flags.writeable
+
+
 class TestOneHot:
     def test_basic(self):
         np.testing.assert_array_equal(fs.one_hot([2], 4), [[0.0, 0.0, 1.0, 0.0]])

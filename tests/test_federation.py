@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fedsem as fs
-from fedsem.errors import ClientSkip, ConfigError, RoundFailure, ShapeError
+from fedsem.errors import ConfigError, RoundFailure, ShapeError
 from fedsem.seeding import derive_seed
 
 from conftest import (
@@ -109,13 +109,17 @@ class TestSampleClients:
         assert len(set(round_participants(config, masked, shards, rounds=6))) > 1
 
 
+def cohort_of(shards, dataset, labeled_only=False):
+    return [(s, fs.training_view(s, dataset, labeled_only)) for s in shards]
+
+
 class TestClientRound:
     def test_labeled_only_equals_unlabeled_when_fully_visible(self):
         masked, shards = tiny_pipeline(labeled_fraction=1.0)
         config = tiny_federation()
         params = fs.init_params((4, 6, 3), seed=0)
-        a = fs.client_round(params, shards[0], masked, config, round_index=0, labeled_only=True)
-        b = fs.client_round(params, shards[0], masked, config, round_index=0, labeled_only=False)
+        (a,) = fs.client_round(params, cohort_of(shards[:1], masked, True), masked, config, 0)
+        (b,) = fs.client_round(params, cohort_of(shards[:1], masked, False), masked, config, 0)
         assert a.num_samples == b.num_samples
         assert params_equal(a.params, b.params)
 
@@ -138,7 +142,7 @@ class TestClientRound:
         masked, shards = tiny_pipeline()
         params = fs.init_params((4, 6, 3), seed=2)
         before = params.flatten().tobytes()
-        fs.client_round(params, shards[1], masked, tiny_federation(), round_index=0)
+        fs.client_round(params, cohort_of(shards[1:2], masked), masked, tiny_federation(), 0)
         assert params.flatten().tobytes() == before
 
     def test_skip_when_no_visible_labels(self):
@@ -146,19 +150,32 @@ class TestClientRound:
         hidden = np.array(masked.label_visible, copy=True)
         hidden[shards[0].train_indices] = False
         blind = dataclasses.replace(masked, label_visible=hidden)
-        with pytest.raises(ClientSkip):
+        with pytest.raises(ValueError, match="at least one training sample"):
             fs.client_round(
-                fs.init_params((4, 6, 3), seed=0), shards[0], blind, tiny_federation(), 0
+                fs.init_params((4, 6, 3), seed=0), cohort_of(shards[:1], blind), blind,
+                tiny_federation(), 0,
             )
 
     def test_uses_only_visible_samples(self):
         masked, shards = tiny_pipeline(labeled_fraction=0.5)
-        update = fs.client_round(
-            fs.init_params((4, 6, 3), seed=0), shards[0], masked, tiny_federation(), 0,
-            labeled_only=True,
+        (update,) = fs.client_round(
+            fs.init_params((4, 6, 3), seed=0), cohort_of(shards[:1], masked, True), masked,
+            tiny_federation(), 0,
         )
         visible = int(masked.label_visible[shards[0].train_indices].sum())
         assert update.num_samples == visible
+
+    def test_cohort_equals_one_client_at_a_time(self):
+        masked, shards = tiny_pipeline(labeled_fraction=0.5, n=150)
+        params = fs.init_params((4, 6, 3), seed=3)
+        config = tiny_federation(solver="adam", batch_size=3)
+        order = [shards[4], shards[1], shards[5], shards[0]]
+        together = fs.client_round(params, cohort_of(order, masked, True), masked, config, 2)
+        assert [u.client_id for u in together] == [4, 1, 5, 0]
+        for update, shard in zip(together, order):
+            (alone,) = fs.client_round(params, cohort_of([shard], masked, True), masked, config, 2)
+            assert update.num_samples == alone.num_samples
+            assert params_equal(update.params, alone.params)
 
 
 def scalar_update(client_id, value, num_samples):
@@ -286,6 +303,26 @@ class TestRunRound:
         record = state.history[0]
         assert len(record.participant_ids) == config.clients_per_round
         assert starved not in record.participant_ids
+
+    def test_one_training_view_per_candidate(self, monkeypatch):
+        masked, shards = tiny_pipeline()
+        hidden = np.array(masked.label_visible, copy=True)
+        config = tiny_federation()
+        starved = round_participants(config, masked, shards, rounds=1)[0][0]
+        hidden[shards[starved].train_indices] = False
+        blind = dataclasses.replace(masked, label_visible=hidden)
+        calls = []
+        view = fs.federation.training_view
+        monkeypatch.setattr(
+            fs.federation, "training_view", lambda *a, **k: calls.append(a[0]) or view(*a, **k)
+        )
+        fs.run_round(
+            fs.ServerState(fs.initial_params(config, blind), round=0),
+            shards, blind, config, labeled_only=True,
+        )
+        # The starved client is one candidate more; nobody is viewed twice.
+        assert len(calls) == config.clients_per_round + 1
+        assert len({shard.client_id for shard in calls}) == len(calls)
 
     def test_all_skip_raises_round_failure(self):
         masked, shards = tiny_pipeline()

@@ -1,6 +1,7 @@
 """Classifier core: initialization, forward/loss/backward, solvers, training."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fedsem as fs
-from fedsem.errors import ClientSkip, ConfigError, ShapeError
+from fedsem.errors import ConfigError, ShapeError
 
 from conftest import finite_difference_gradient, params_equal, random_model_and_batch
 
@@ -243,7 +244,7 @@ class TestTrainLocal:
     def test_empty_view_skips(self):
         params = fs.init_params([5, 4, 3], seed=5)
         empty = fs.Batch(np.zeros((0, 5)), np.zeros((0, 3)))
-        with pytest.raises(ClientSkip):
+        with pytest.raises(ValueError, match="at least one training sample"):
             fs.train_local(params, empty, epochs=1, batch_size=4, lr=0.1)
 
     def test_divergence_raises(self):
@@ -410,6 +411,98 @@ class TestFlatKernelMatchesReference:
             params, batch.inputs, batch.targets, epochs, batch_size, lr, solver, seed
         )
         assert trained.flatten().tobytes() == expected
+
+
+def divergence_step(call) -> int | None:
+    """The step a diverging ``train_local`` call names, or None if it trains through."""
+    try:
+        call()
+    except ValueError as err:
+        return int(re.fullmatch(r"step (\d+): non-finite parameter values", str(err)).group(1))
+    return None
+
+
+class TestCohortMatchesPerClient:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=0, max_size=2),
+        dim=st.integers(1, 5),
+        classes=st.integers(2, 4),
+        clients=st.lists(
+            st.tuples(st.integers(1, 24), st.integers(0, 2**16)), min_size=1, max_size=6
+        ),
+        batch_size=st.integers(1, 10),
+        epochs=st.integers(1, 3),
+        lr=st.sampled_from([0.01, 0.1, 0.5]),
+        solver=st.sampled_from(fs.SOLVERS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical(
+        self, hidden, dim, classes, clients, batch_size, epochs, lr, solver, seed
+    ):
+        # Random sizes give ragged cohorts: clients leave at different steps, and
+        # their short last batches differ in length.
+        params = fs.init_params((dim, *hidden, classes), seed=seed)
+        rng = np.random.default_rng(seed)
+        batches = [
+            fs.Batch(rng.normal(size=(n, dim)), fs.one_hot(rng.integers(0, classes, n), classes))
+            for n, _ in clients
+        ]
+        cohort = fs.Batch(
+            np.concatenate([b.inputs for b in batches]),
+            np.concatenate([b.targets for b in batches]),
+        )
+        sizes, seeds = [n for n, _ in clients], [s for _, s in clients]
+        trained = fs.train_local(
+            params, cohort, epochs, batch_size, lr, solver, rng_seed=seeds, sizes=sizes
+        )
+        assert isinstance(trained, tuple) and len(trained) == len(clients)
+        for batch, client_seed, result in zip(batches, seeds, trained):
+            alone = fs.train_local(params, batch, epochs, batch_size, lr, solver, client_seed)
+            assert result.flatten().tobytes() == alone.flatten().tobytes()
+
+    def test_divergence_names_earliest_step(self):
+        params = fs.init_params([5, 4, 3], seed=7)
+        sizes, seeds = [12, 16, 12], [1, 2, 3]
+        rng = np.random.default_rng(1)
+        inputs = 3.0 * rng.normal(size=(sum(sizes), 5))
+        targets = fs.one_hot(rng.integers(0, 3, sum(sizes)), 3)
+        kwargs = dict(epochs=50, batch_size=4, lr=1e3, solver="sgd")
+        bounds = np.cumsum([0, *sizes])
+        alone = [
+            divergence_step(lambda a=a, b=b, s=s: fs.train_local(
+                params, fs.Batch(inputs[a:b], targets[a:b]), rng_seed=s, **kwargs
+            ))
+            for a, b, s in zip(bounds[:-1], bounds[1:], seeds)
+        ]
+        diverged = [step for step in alone if step is not None]
+        # The first client is not the one that diverges first.
+        assert len(diverged) >= 2 and alone[0] != min(diverged)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            together = divergence_step(lambda: fs.train_local(
+                params, fs.Batch(inputs, targets), rng_seed=seeds, sizes=sizes, **kwargs
+            ))
+        assert together == min(diverged)
+
+    @pytest.mark.parametrize(
+        "sizes, seeds, error",
+        [
+            ([3, 3], [1], ConfigError),
+            ([3, 2], [1, 2], ShapeError),
+            ([6, 0], [1, 2], ValueError),
+            ([], [], ValueError),
+        ],
+    )
+    def test_cohort_shape_checked(self, sizes, seeds, error):
+        params, batch = random_model_and_batch(24, batch_rows=6)
+        with pytest.raises(error):
+            fs.train_local(params, batch, 1, 4, 0.1, rng_seed=seeds, sizes=sizes)
+
+    def test_zero_lr_returns_the_input_per_client(self):
+        params, batch = random_model_and_batch(25, batch_rows=6)
+        trained = fs.train_local(params, batch, 2, 4, 0.0, rng_seed=[1, 2], sizes=[2, 4])
+        assert trained == (params, params)
 
 
 def reference_forward(params, inputs):

@@ -1,6 +1,7 @@
 """Two-phase orchestration: convergence gate, pseudo-labeling, phase runs."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ import pytest
 import fedsem as fs
 from fedsem.errors import ConfigError, RoundFailure, ShapeError
 
-from conftest import build_pipeline, easy_federation, make_records, params_equal
+from conftest import (
+    build_pipeline,
+    canonical_federation,
+    easy_federation,
+    make_records,
+    params_equal,
+)
 
 # Frozen from the seeded easy task with all labels visible.
 EASY_FEDSEM_FULL_LABELS_GAIN = 0.0
@@ -276,3 +283,31 @@ class TestRunFedsem:
         assert result.gain == pytest.approx(
             fs.gain(result.accuracy_phase1, result.accuracy_phase2), abs=1e-15
         )
+
+
+class TestTrainingCallContract:
+    """A benchmark counts sample-epochs by wrapping ``fedsem.federation.train_local``."""
+
+    def test_wrapped_train_local_sees_every_sample_epoch(
+        self, canonical_pipeline, canonical_result, monkeypatch
+    ):
+        original = fs.federation.train_local
+        signature = inspect.signature(original)
+        counted = []
+
+        def traced(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            if bound.get("lr", 1.0) > 0:
+                counted.append(bound["epochs"] * len(bound["samples"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fs.federation, "train_local", traced)
+        _, masked, shards = canonical_pipeline
+        config = fs.FedSemConfig(federation=canonical_federation())
+        result = fs.run_fedsem(config, shards, masked)
+        # 20 rounds x 5 clients x 10 epochs over 32 visible rows, then over 160 rows.
+        assert sum(counted) == 192_000
+        assert len(counted) == config.federation.rounds
+        expected, _ = canonical_result
+        for phase in ("model_phase1", "model_phase2"):
+            assert getattr(result, phase).vector.tobytes() == getattr(expected, phase).vector.tobytes()
