@@ -409,8 +409,9 @@ def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
     # Sgd scales the gradient in place; adam needs two arrays of its own.
     scratch = grad[None] if moments is None else np.empty((2, *flat.shape))
     # One buffer per layer, big enough for the widest step; each run views its front.
-    work = [np.empty(count * min(batch_size, int(n[0])) * d) for d in dims[1:]]
-    arange = np.arange(batch_size)
+    widest = min(batch_size, int(n[0]))
+    work = [np.empty(count * widest * d) for d in dims[1:]]
+    arange = np.arange(widest)
     # A diverging step is reported by the finiteness check, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (alive, shuffle, edges) in enumerate(zip(live, shuffles, runs)):

@@ -167,14 +167,7 @@ class TestRun:
             "--override", "federation.solver=sgd",
         ])
         assert code == 1
-        assert "non-finite" in capsys.readouterr().err
-
-    def test_divergence_names_earliest_step(self, tmp_path, capsys):
-        main([
-            "run", "--config", str(CANONICAL_INI), "--out", str(tmp_path / "o"), "--quiet",
-            "--override", "federation.learning_rate=50",
-            "--override", "federation.solver=sgd",
-        ])
+        # The earliest step at which any client of the round diverges.
         assert capsys.readouterr().err == (
             "error during training: step 17: non-finite parameter values\n"
         )

@@ -313,9 +313,12 @@ class TestRunRound:
         blind = dataclasses.replace(masked, label_visible=hidden)
         calls = []
         view = fs.federation.training_view
-        monkeypatch.setattr(
-            fs.federation, "training_view", lambda *a, **k: calls.append(a[0]) or view(*a, **k)
-        )
+
+        def counted(shard, *args, **kwargs):
+            calls.append(shard)
+            return view(shard, *args, **kwargs)
+
+        monkeypatch.setattr(fs.federation, "training_view", counted)
         fs.run_round(
             fs.ServerState(fs.initial_params(config, blind), round=0),
             shards, blind, config, labeled_only=True,

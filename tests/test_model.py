@@ -256,6 +256,13 @@ class TestTrainLocal:
                     params, self.batch(seed=7), epochs=50, batch_size=4, lr=1e3, solver="sgd"
                 )
 
+    def test_batch_larger_than_view_is_full_batch(self):
+        params = fs.init_params([5, 4, 3], seed=8)
+        batch = self.batch(seed=8, n=7)
+        huge = fs.train_local(params, batch, epochs=2, batch_size=10**12, lr=0.1, rng_seed=3)
+        full = fs.train_local(params, batch, epochs=2, batch_size=7, lr=0.1, rng_seed=3)
+        assert huge.flatten().tobytes() == full.flatten().tobytes()
+
     def test_keeps_last_short_batch(self):
         # 5 samples at batch size 4 must take two steps, not one.
         params = fs.init_params([5, 4, 3], seed=6)

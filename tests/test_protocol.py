@@ -309,5 +309,5 @@ class TestTrainingCallContract:
         assert sum(counted) == 192_000
         assert len(counted) == config.federation.rounds
         expected, _ = canonical_result
-        for phase in ("model_phase1", "model_phase2"):
-            assert getattr(result, phase).vector.tobytes() == getattr(expected, phase).vector.tobytes()
+        assert result.model_phase1.vector.tobytes() == expected.model_phase1.vector.tobytes()
+        assert result.model_phase2.vector.tobytes() == expected.model_phase2.vector.tobytes()
