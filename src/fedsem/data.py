@@ -180,9 +180,9 @@ def generate_synthetic(
     labels = np.arange(n_samples, dtype=np.int64) % num_classes
     features = centers[labels] + rng.standard_normal((n_samples, dim))
     return Dataset(
-        features=features,
-        labels=labels,
-        label_visible=np.ones(n_samples, dtype=bool),
+        features=_freeze(features),
+        labels=_freeze(labels),
+        label_visible=_freeze(np.ones(n_samples, dtype=bool)),
         num_classes=num_classes,
     )
 
@@ -229,9 +229,9 @@ def load_csv(path, num_classes: int, has_header: bool = False) -> Dataset:
     if not rows:
         raise CsvParseError(1, "no data rows")
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        label_visible=np.ones(len(rows), dtype=bool),
+        features=_freeze(np.array(rows, dtype=np.float64)),
+        labels=_freeze(np.array(labels, dtype=np.int64)),
+        label_visible=_freeze(np.ones(len(rows), dtype=bool)),
         num_classes=num_classes,
     )
 
@@ -367,7 +367,7 @@ def mask_labels(
         all_train = np.sort(np.concatenate([s.train_indices for s in shards]))
         if all_train.size:
             keep(np.random.default_rng(derive_seed(seed)), all_train)
-    return replace(dataset, label_visible=visible)
+    return replace(dataset, label_visible=_freeze(visible))
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

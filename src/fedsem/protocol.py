@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _freeze
 from .errors import ConfigError, RoundFailure, ShapeError
 from .federation import FederationConfig, run_fedavg, training_view
 from .metrics import RoundRecord, gain
@@ -161,7 +161,9 @@ def pseudo_label(
     visible[filled] = True
     pseudo = np.array(dataset.pseudo_mask, copy=True)
     pseudo[filled] = True
-    return replace(dataset, labels=labels, label_visible=visible, pseudo_mask=pseudo)
+    return replace(
+        dataset, labels=_freeze(labels), label_visible=_freeze(visible), pseudo_mask=_freeze(pseudo)
+    )
 
 
 def run_phase2(
