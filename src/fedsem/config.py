@@ -2,13 +2,20 @@
 
 INI-style sections ([dataset], [partition], [labels], [federation],
 [fedsem], [output]) with strict validation: unknown sections or keys are
-hard errors, so a typo can never silently fall back to a default. Every
-stage seed defaults from the single federation master_seed when omitted.
+hard errors, so a typo can never silently fall back to a default.
+``_SCHEMA`` is the one table of keys, in file order, with the cast that
+reads each. An omitted key takes its config class's default; only the
+defaults the classes lack (the iid scheme over 20 clients, 5 clients per
+round, 10 local epochs, learning rate 0.0001) live in ``build_config``.
+Every stage seed defaults from the single federation master_seed, and
+float values must be finite.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .data import MASK_MODES, PartitionSpec
@@ -17,32 +24,73 @@ from .federation import FederationConfig
 from .metrics import HISTORY_FORMATS
 from .protocol import FedSemConfig
 
-_REQUIRED = object()
-
 DATASET_SOURCES = ("synthetic", "csv")
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "dataset": ("source", "samples", "classes", "dim", "separation", "seed", "path", "has_header"),
-    "partition": ("scheme", "num_clients", "shards_per_client", "alpha", "seed"),
-    "labels": ("labeled_fraction", "mask_mode", "mask_seed"),
-    "federation": (
-        "clients_per_round",
-        "rounds",
-        "local_epochs",
-        "learning_rate",
-        "batch_size",
-        "solver",
-        "aggregation",
-        "master_seed",
-        "hidden_dims",
-    ),
-    "fedsem": (
-        "phase_switch",
-        "convergence_window",
-        "convergence_epsilon",
-        "pseudo_label_threshold",
-    ),
-    "output": ("directory", "formats"),
+
+def _cast_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _cast_finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _cast_int_tuple(raw: str) -> tuple[int, ...]:
+    text = raw.strip()
+    if not text:
+        return ()
+    return tuple(int(part.strip()) for part in text.split(","))
+
+
+def _cast_str_tuple(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+    "dataset": {
+        "source": str,
+        "samples": int,
+        "classes": int,
+        "dim": int,
+        "separation": _cast_finite_float,
+        "seed": int,
+        "path": str,
+        "has_header": _cast_bool,
+    },
+    "partition": {
+        "scheme": str,
+        "num_clients": int,
+        "shards_per_client": int,
+        "alpha": _cast_finite_float,
+        "seed": int,
+    },
+    "labels": {"labeled_fraction": _cast_finite_float, "mask_mode": str, "mask_seed": int},
+    "federation": {
+        "clients_per_round": int,
+        "rounds": int,
+        "local_epochs": int,
+        "learning_rate": _cast_finite_float,
+        "batch_size": int,
+        "solver": str,
+        "aggregation": str,
+        "master_seed": int,
+        "hidden_dims": _cast_int_tuple,
+    },
+    "fedsem": {
+        "phase_switch": str,
+        "convergence_window": int,
+        "convergence_epsilon": _cast_finite_float,
+        "pseudo_label_threshold": _cast_finite_float,
+    },
+    "output": {"directory": str, "formats": _cast_str_tuple},
 }
 
 
@@ -115,37 +163,19 @@ class ExperimentConfig:
     output: OutputConfig
 
 
-def _cast_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-def _cast_int_tuple(raw: str) -> tuple[int, ...]:
-    text = raw.strip()
-    if not text:
-        return ()
-    return tuple(int(part.strip()) for part in text.split(","))
-
-
-def _cast_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _get(raw: dict[str, dict[str, str]], section: str, key: str, cast, default):
+def _section(raw: dict[str, dict[str, str]], section: str, **file_defaults) -> dict:
+    """The keys the file sets in ``section``, cast, over ``file_defaults``."""
+    values = dict(file_defaults)
     entries = raw.get(section, {})
-    if key not in entries:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {section}.{key}")
-        return default
-    value = entries[key]
-    try:
-        return cast(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid value for {section}.{key}: {value!r} ({exc})") from exc
+    for key, cast in _SCHEMA[section].items():
+        if key in entries:
+            try:
+                values[key] = cast(entries[key])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"invalid value for {section}.{key}: {entries[key]!r} ({exc})"
+                ) from exc
+    return values
 
 
 def _check_key(section: str, key: str | None = None) -> None:
@@ -187,65 +217,24 @@ def apply_overrides(raw: dict[str, dict[str, str]], overrides) -> dict[str, dict
 
 
 def build_config(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
-    """Turn raw section/key strings into a validated ExperimentConfig."""
-    master_seed = _get(raw, "federation", "master_seed", int, 0)
+    """Turn raw section/key strings into a validated ExperimentConfig.
 
-    dataset = DatasetConfig(
-        source=_get(raw, "dataset", "source", str, "synthetic"),
-        samples=_get(raw, "dataset", "samples", int, 4000),
-        classes=_get(raw, "dataset", "classes", int, 10),
-        dim=_get(raw, "dataset", "dim", int, 16),
-        separation=_get(raw, "dataset", "separation", float, 2.0),
-        seed=_get(raw, "dataset", "seed", int, master_seed),
-        path=_get(raw, "dataset", "path", str, None),
-        has_header=_get(raw, "dataset", "has_header", _cast_bool, False),
+    Omitted keys take the config class's default; the arguments here are the
+    defaults the classes lack, and the stage seeds follow master_seed.
+    """
+    fed_keys = _section(
+        raw, "federation", clients_per_round=5, local_epochs=10, learning_rate=0.0001
     )
-    partition = PartitionSpec(
-        scheme=_get(raw, "partition", "scheme", str, "iid"),
-        num_clients=_get(raw, "partition", "num_clients", int, 20),
-        shards_per_client=_get(raw, "partition", "shards_per_client", int, None),
-        alpha=_get(raw, "partition", "alpha", float, None),
-        seed=_get(raw, "partition", "seed", int, master_seed),
-    )
-    labels = LabelConfig(
-        labeled_fraction=_get(raw, "labels", "labeled_fraction", float, 1.0),
-        mask_mode=_get(raw, "labels", "mask_mode", str, "per_client"),
-        mask_seed=_get(raw, "labels", "mask_seed", int, master_seed),
-    )
-    federation = FederationConfig(
-        num_clients=partition.num_clients,
-        clients_per_round=_get(raw, "federation", "clients_per_round", int, 5),
-        rounds=_get(raw, "federation", "rounds", int, _REQUIRED),
-        local_epochs=_get(raw, "federation", "local_epochs", int, 10),
-        learning_rate=_get(raw, "federation", "learning_rate", float, 0.0001),
-        batch_size=_get(raw, "federation", "batch_size", int, 32),
-        solver=_get(raw, "federation", "solver", str, "adam"),
-        aggregation=_get(raw, "federation", "aggregation", str, "sample_weighted"),
-        master_seed=master_seed,
-        hidden_dims=_get(raw, "federation", "hidden_dims", _cast_int_tuple, (32,)),
-    )
-    fedsem = None
-    if "fedsem" in raw:
-        fedsem = FedSemConfig(
-            federation=federation,
-            phase_switch=_get(raw, "fedsem", "phase_switch", str, "at_half_rounds"),
-            convergence_window=_get(raw, "fedsem", "convergence_window", int, 5),
-            convergence_epsilon=_get(raw, "fedsem", "convergence_epsilon", float, 0.005),
-            pseudo_label_threshold=_get(raw, "fedsem", "pseudo_label_threshold", float, 0.0
-            ),
-        )
-    output = OutputConfig(
-        directory=_get(raw, "output", "directory", str, None),
-        formats=_get(raw, "output", "formats", _cast_str_tuple, ("csv", "json")),
-    )
-    return ExperimentConfig(
-        dataset=dataset,
-        partition=partition,
-        labels=labels,
-        federation=federation,
-        fedsem=fedsem,
-        output=output,
-    )
+    if "rounds" not in fed_keys:
+        raise ConfigError("missing required key federation.rounds")
+    seed = fed_keys.get("master_seed", FederationConfig.master_seed)
+    dataset = DatasetConfig(**_section(raw, "dataset", seed=seed))
+    partition = PartitionSpec(**_section(raw, "partition", scheme="iid", num_clients=20, seed=seed))
+    labels = LabelConfig(**_section(raw, "labels", mask_seed=seed))
+    federation = FederationConfig(num_clients=partition.num_clients, **fed_keys)
+    fedsem = FedSemConfig(federation, **_section(raw, "fedsem")) if "fedsem" in raw else None
+    output = OutputConfig(**_section(raw, "output"))
+    return ExperimentConfig(dataset, partition, labels, federation, fedsem, output)
 
 
 def load_config(path, overrides=(), seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:

@@ -114,7 +114,7 @@ class ClientShard:
         )
         if self.client_id < 0:
             raise ConfigError(f"client_id must be non-negative, got {self.client_id}")
-        if np.intersect1d(train, test).size:
+        if test.size and np.intersect1d(train, test).size:
             raise ConfigError(f"client {self.client_id}: train and test indices overlap")
         object.__setattr__(self, "train_indices", train)
         object.__setattr__(self, "test_indices", test)
@@ -278,23 +278,28 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
             for i in range(k)
         ]
     else:  # dirichlet
-        buckets: list[list[int]] = [[] for _ in range(k)]
+        members, owners = [], []
         for cls in range(dataset.num_classes):
-            members = np.flatnonzero(dataset.labels == cls)
-            if members.size == 0:
+            in_class = np.flatnonzero(dataset.labels == cls)
+            if in_class.size == 0:
                 continue
-            members = rng.permutation(members)
+            members.append(rng.permutation(in_class))
             shares = rng.dirichlet(np.full(k, float(spec.alpha)))
-            cuts = (np.cumsum(shares) * members.size).astype(np.int64)[:-1]
-            for client, segment in enumerate(np.split(members, cuts)):
-                buckets[client].extend(int(i) for i in segment)
-        sizes = [len(b) for b in buckets]
-        while min(sizes) == 0:
-            donor = int(np.argmax(sizes))
-            needy = int(np.argmin(sizes))
-            buckets[needy].append(buckets[donor].pop())
-            sizes = [len(b) for b in buckets]
-        allocations = [np.array(b, dtype=np.int64) for b in buckets]
+            cuts = (np.cumsum(shares) * in_class.size).astype(np.int64)[:-1]
+            owners.append(np.searchsorted(cuts, np.arange(in_class.size), side="right"))
+        # Each client's members in class order, then in permuted order within a
+        # class: rebalancing below moves a client's last member.
+        owner = np.concatenate(owners)
+        sizes = np.bincount(owner, minlength=k)
+        by_owner = np.concatenate(members)[np.argsort(owner, kind="stable")]
+        allocations = np.split(by_owner, np.cumsum(sizes)[:-1])
+        # An empty client takes the last member of the largest one until none is empty.
+        while sizes.min() == 0:
+            donor, needy = int(np.argmax(sizes)), int(np.argmin(sizes))
+            allocations[needy] = allocations[donor][-1:]
+            allocations[donor] = allocations[donor][:-1]
+            sizes[donor] -= 1
+            sizes[needy] += 1
 
     return [
         ClientShard(client_id=i, train_indices=np.sort(alloc))

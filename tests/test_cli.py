@@ -121,6 +121,15 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "learning_rte" in capsys.readouterr().err
 
+    def test_non_finite_float_exit_2(self, write_config, capsys):
+        code = main(["run", "--config", str(write_config()), "--quiet",
+                     "--override", "fedsem.convergence_epsilon=nan"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: invalid value for fedsem.convergence_epsilon: "
+            "'nan' (expected a finite number)\n"
+        )
+
     def test_override_beats_file(self, write_config, tmp_path):
         config = write_config()
         assert main([

@@ -90,6 +90,39 @@ formats = csv,json
 """
 
 SERIALIZED = {
+    "minimal": """[dataset]
+source = synthetic
+samples = 4000
+classes = 10
+dim = 16
+separation = 2.0
+seed = 0
+has_header = false
+
+[partition]
+scheme = iid
+num_clients = 20
+seed = 0
+
+[labels]
+labeled_fraction = 1.0
+mask_mode = per_client
+mask_seed = 0
+
+[federation]
+clients_per_round = 5
+rounds = 8
+local_epochs = 10
+learning_rate = 0.0001
+batch_size = 32
+solver = adam
+aggregation = sample_weighted
+master_seed = 0
+hidden_dims = 32
+
+[output]
+formats = csv,json
+""",
     "full": """[dataset]
 source = synthetic
 samples = 400
@@ -219,6 +252,19 @@ class TestParsing:
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="federation.rounds"):
             config_from("[federation]\nrounds = soon\n")
+        # Non-finite floats would slip past range checks written as x <= 0.
+        for dotted in (
+            "dataset.separation",
+            "partition.alpha",
+            "labels.labeled_fraction",
+            "federation.learning_rate",
+            "fedsem.convergence_epsilon",
+            "fedsem.pseudo_label_threshold",
+        ):
+            for value in ("nan", "inf", "-inf", "1e400"):
+                pattern = re.escape(f"invalid value for {dotted}: {value!r} (")
+                with pytest.raises(ConfigError, match=pattern):
+                    config_from(MINIMAL, overrides=[f"{dotted}={value}"])
 
     def test_invalid_enum_rejected(self):
         with pytest.raises(ConfigError):
@@ -302,7 +348,8 @@ class TestRoundTrip:
         assert config_from(serialize_config(cfg)) == cfg
 
     @pytest.mark.parametrize(
-        "name, text", [("full", FULL), ("csv", CSV_SOURCE), ("dirichlet", DIRICHLET)]
+        "name, text",
+        [("minimal", MINIMAL), ("full", FULL), ("csv", CSV_SOURCE), ("dirichlet", DIRICHLET)],
     )
     def test_exact_text(self, name, text):
         # Pins key order and value formatting, which equality round-trips miss.

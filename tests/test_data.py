@@ -131,6 +131,30 @@ def assert_partition_law(shards, n):
     assert np.array_equal(np.sort(combined), np.arange(n))
 
 
+def dirichlet_reference(labels, num_classes, k, alpha, seed):
+    """The list-based Dirichlet split: (sorted allocations, clients rebalanced)."""
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(k)]
+    for cls in range(num_classes):
+        members = np.flatnonzero(labels == cls)
+        if members.size == 0:
+            continue
+        members = rng.permutation(members)
+        shares = rng.dirichlet(np.full(k, float(alpha)))
+        cuts = (np.cumsum(shares) * members.size).astype(np.int64)[:-1]
+        for client, segment in enumerate(np.split(members, cuts)):
+            buckets[client].extend(int(i) for i in segment)
+    sizes = [len(b) for b in buckets]
+    moves = 0
+    while min(sizes) == 0:
+        donor = int(np.argmax(sizes))
+        needy = int(np.argmin(sizes))
+        buckets[needy].append(buckets[donor].pop())
+        sizes = [len(b) for b in buckets]
+        moves += 1
+    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets], moves
+
+
 class TestPartition:
     def test_iid_round_robin_sizes(self):
         ds = fs.generate_synthetic(100, 4, 4, 2.0, seed=0)
@@ -162,6 +186,26 @@ class TestPartition:
         assert all(s.train_indices.size >= 1 for s in shards)
         assert_partition_law(shards, 60)
 
+    @pytest.mark.parametrize(
+        "n, classes, k, alpha, seed, rebalanced",
+        [
+            (203, 5, 8, 0.5, 0, False),
+            (1000, 10, 50, 0.3, 2, False),
+            (500, 7, 9, 5.0, 4, False),
+            (60, 3, 12, 0.05, 3, True),
+            (300, 10, 200, 0.1, 1, True),
+        ],
+    )
+    def test_dirichlet_matches_list_reference(self, n, classes, k, alpha, seed, rebalanced):
+        ds = fs.generate_synthetic(n, classes, 4, 2.0, seed=seed)
+        spec = fs.PartitionSpec("dirichlet", num_clients=k, alpha=alpha, seed=seed)
+        expected, moves = dirichlet_reference(ds.labels, classes, k, alpha, seed)
+        assert (moves > 0) == rebalanced
+        shards = fs.partition(ds, spec)
+        assert len(shards) == k
+        for shard, want in zip(shards, expected):
+            np.testing.assert_array_equal(shard.train_indices, want)
+
     def test_too_few_samples_rejected(self):
         ds = fs.generate_synthetic(6, 3, 4, 2.0, seed=0)
         with pytest.raises(ConfigError):
@@ -185,6 +229,18 @@ class TestPartition:
             fs.PartitionSpec("shards", num_clients=3)
         with pytest.raises(ConfigError):
             fs.PartitionSpec("dirichlet", num_clients=3, alpha=0.0)
+
+
+class TestClientShard:
+    def test_overlap_rejected(self):
+        with pytest.raises(ConfigError, match="overlap"):
+            fs.ClientShard(client_id=2, train_indices=np.arange(5), test_indices=[4, 7])
+
+    def test_empty_test_set_accepted(self):
+        shard = fs.ClientShard(client_id=0, train_indices=[3, 1], test_indices=[])
+        assert shard.test_indices.size == 0
+        assert shard.size == 2
+        np.testing.assert_array_equal(shard.all_indices, [1, 3])
 
 
 class TestSplitTrainTest:
