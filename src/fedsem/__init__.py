@@ -34,15 +34,7 @@ from .federation import (
     run_round,
     training_view,
 )
-from .metrics import (
-    RoundRecord,
-    SummaryRow,
-    export_history,
-    gain,
-    load_history,
-    render_summary,
-    summarize,
-)
+from .metrics import RoundRecord, export_history, gain, load_history, render_summary
 from .model import (
     Batch,
     ModelParams,
@@ -89,7 +81,6 @@ __all__ = [
     "SOLVERS",
     "ServerState",
     "ShapeError",
-    "SummaryRow",
     "aggregate",
     "backward",
     "client_round",
@@ -120,7 +111,6 @@ __all__ = [
     "run_round",
     "save_csv",
     "split_train_test",
-    "summarize",
     "train_local",
     "training_view",
 ]

@@ -23,10 +23,11 @@ import time
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .data import generate_synthetic, load_csv, mask_labels, partition, save_csv, split_train_test
+from .data import generate_synthetic, load_csv, mask_labels, partition, save_csv
+from .data import split_train_test, write_text
 from .errors import ConfigError
 from .federation import run_fedavg
-from .metrics import SummaryRow, export_history, render_summary
+from .metrics import export_history, render_summary
 from .protocol import run_fedsem
 
 TRAIN_RATIO = 0.8
@@ -114,40 +115,15 @@ def _execute(config: ExperimentConfig, dataset, shards):
     return history, payload
 
 
-def render_run_summary(payload) -> str:
-    """The summary.txt text of a run, rendered from its result payload."""
-    if payload.get("mode") == "fedsem":
-        row = SummaryRow(
-            labeled_percent=payload["labeled_percent"],
-            rounds=payload["rounds"],
-            epochs=payload["local_epochs"],
-            accuracy_phase1=payload["accuracy_phase1"],
-            accuracy_phase2=payload["accuracy_phase2"],
-            gain=payload["gain"],
-        )
-        return render_summary([row])
-    best = payload["best_accuracy"]
-    return (
-        "single-phase federated run\n"
-        f"rounds: {payload['rounds']}\n"
-        f"best test accuracy: {'n/a' if best is None else format(best, '.6f')}\n"
-    )
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _write_outputs(out_dir: Path, history, payload, formats) -> str:
-    """Write every run artifact; returns the summary text."""
+    """Write every run artifact, result.json last; returns the summary text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt in formats:
         export_history(history, out_dir / f"history.{fmt}", fmt)
+    summary_text = render_summary(payload)
+    write_text(out_dir / "summary.txt", summary_text)
     result_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _write_text(out_dir / "result.json", result_text + "\n")
-    summary_text = render_run_summary(payload)
-    _write_text(out_dir / "summary.txt", summary_text)
+    write_text(out_dir / "result.json", result_text + "\n")
     return summary_text
 
 
@@ -165,7 +141,7 @@ def cmd_generate(args) -> int:
             "seed": args.seed,
             "separation": float(args.sep),
         }
-        _write_text(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        write_text(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"error writing dataset: {exc}", file=sys.stderr)
         return 1
@@ -235,20 +211,10 @@ def cmd_sweep(args) -> int:
             cell_overrides = list(args.override) + [
                 f"{SWEEP_AXES[key][0]}.{SWEEP_AXES[key][1]}={value}" for key, value in cell
             ]
-            config = load_config(
-                args.config,
-                overrides=cell_overrides,
-                seed=args.seed,
-                out_dir=str(out_root / "cells" / slug),
-            )
+            config = load_config(args.config, overrides=cell_overrides, seed=args.seed)
             dataset, shards = _prepare_data(config)
             history, payload = _execute(config, dataset, shards)
-            _write_outputs(
-                resolve_output_dir(config.output.directory),
-                history,
-                payload,
-                config.output.formats,
-            )
+            _write_outputs(out_root / "cells" / slug, history, payload, config.output.formats)
             rows.append(
                 f"{payload['labeled_percent']:g},{payload['rounds']},{payload['local_epochs']},"
                 f"{config.federation.master_seed},{payload['accuracy_phase1']:.6f},"
@@ -258,7 +224,7 @@ def cmd_sweep(args) -> int:
                 print(f"cell {slug}: gain {payload['gain']:.6f}")
         stage = "writing sweep.csv"
         out_root.mkdir(parents=True, exist_ok=True)
-        _write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
+        write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
     except ConfigError as exc:
         print(f"configuration error during {stage}: {exc}", file=sys.stderr)
         return 2
@@ -283,8 +249,8 @@ def cmd_report(args) -> int:
     try:
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
-        summary_text = render_run_summary(payload)
-        _write_text(path.parent / "summary.txt", summary_text)
+        summary_text = render_summary(payload)
+        write_text(path.parent / "summary.txt", summary_text)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"malformed result file {path}: {exc}", file=sys.stderr)
         return 1

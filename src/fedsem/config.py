@@ -252,31 +252,3 @@ def load_config(path, overrides=(), seed: int | None = None, out_dir: str | None
         raw = apply_overrides(raw, [f"output.directory={out_dir}"])
     return build_config(raw)
 
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config back to INI text in _SCHEMA order; parse(serialize(c)) == c.
-
-    Keys whose value is None, and an absent [fedsem] section, are omitted.
-    """
-    blocks = []
-    for section, keys in _SCHEMA.items():
-        values = getattr(config, section)
-        if values is None:
-            continue
-        lines = [f"[{section}]"]
-        for key in keys:
-            value = getattr(values, key)
-            if value is not None:
-                lines.append(f"{key} = {_format_value(value)}")
-        blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks)

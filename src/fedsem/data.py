@@ -9,8 +9,10 @@ as an evaluation oracle.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import weakref
 from dataclasses import dataclass, replace
 
@@ -243,8 +245,20 @@ def save_csv(dataset: Dataset, path, header: bool = False) -> None:
         lines.append(",".join([f"f{i + 1}" for i in range(dataset.dim)] + ["label"]))
     for row, label in zip(dataset.features, dataset.labels):
         lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: a sibling ``.tmp``, then ``os.replace``."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:

@@ -1,4 +1,4 @@
-"""Round history records, the relative-gain metric, and history export."""
+"""Round history records, the relative-gain metric, history export and run summaries."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+
+from .data import write_text
 
 PHASES = ("phase1", "phase2")
 HISTORY_HEADER = "round,phase,test_accuracy,test_loss,participants"
@@ -35,26 +37,6 @@ class RoundRecord:
             raise ValueError("round must be non-negative")
         if not self.participant_ids:
             raise ValueError("a round must have at least one participant")
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """One experiment condensed to the result-table schema."""
-
-    labeled_percent: float
-    rounds: int
-    epochs: int
-    accuracy_phase1: float
-    accuracy_phase2: float
-    gain: float
-
-    def __post_init__(self):
-        expected = gain(self.accuracy_phase1, self.accuracy_phase2)
-        if abs(self.gain - expected) > 1e-12:
-            raise ValueError(
-                f"gain {self.gain} inconsistent with accuracies "
-                f"({self.accuracy_phase1}, {self.accuracy_phase2})"
-            )
 
 
 def gain(acc_phase1: float, acc_phase2: float) -> float:
@@ -106,8 +88,7 @@ def export_history(history, path, fmt: str = "csv") -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def load_history(path, fmt: str = "csv") -> list[RoundRecord]:
@@ -125,34 +106,28 @@ def load_history(path, fmt: str = "csv") -> list[RoundRecord]:
     return [_row_record(row) for row in rows]
 
 
-def summarize(result, *, labeled_fraction: float, rounds: int, epochs: int) -> SummaryRow:
-    """Condense an experiment result plus its governing settings to one row."""
-    return SummaryRow(
-        labeled_percent=labeled_fraction * 100.0,
-        rounds=rounds,
-        epochs=epochs,
-        accuracy_phase1=result.accuracy_phase1,
-        accuracy_phase2=result.accuracy_phase2,
-        gain=result.gain,
-    )
+def render_summary(payload: dict) -> str:
+    """The summary.txt text of one run, rendered from its result payload.
 
-
-def _gain_percent(fraction: float) -> str:
-    return str(Decimal(repr(fraction * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-
-
-def render_summary(rows) -> str:
-    """Aligned plain-text table; gain shown as a percent, half-up to 0.1."""
-    lines = [
-        "two-phase run summary (gain rendered as percent, rounded half-up to one decimal)",
-        "",
-        f"{'labeled_percent':>15}  {'rounds':>6}  {'epochs':>6}  "
-        f"{'accuracy_phase1':>15}  {'accuracy_phase2':>15}  {'gain_percent':>12}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.labeled_percent:>15.1f}  {row.rounds:>6d}  {row.epochs:>6d}  "
-            f"{row.accuracy_phase1:>15.6f}  {row.accuracy_phase2:>15.6f}  "
-            f"{_gain_percent(row.gain):>12}"
+    A fedsem run is one table row with the gain as a percent, half-up to
+    0.1; its gain must match its accuracies, since ``fedsem report`` reads
+    the payload back from disk. A fedavg run is its rounds and best accuracy.
+    """
+    if payload.get("mode") != "fedsem":
+        best = payload["best_accuracy"]
+        return (
+            "single-phase federated run\n"
+            f"rounds: {payload['rounds']}\n"
+            f"best test accuracy: {'n/a' if best is None else format(best, '.6f')}\n"
         )
-    return "\n".join(lines) + "\n"
+    acc1, acc2, stated = payload["accuracy_phase1"], payload["accuracy_phase2"], payload["gain"]
+    if abs(stated - gain(acc1, acc2)) > 1e-12:
+        raise ValueError(f"gain {stated} inconsistent with accuracies ({acc1}, {acc2})")
+    percent = Decimal(repr(stated * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+    return (
+        "two-phase run summary (gain rendered as percent, rounded half-up to one decimal)\n\n"
+        f"{'labeled_percent':>15}  {'rounds':>6}  {'epochs':>6}  "
+        f"{'accuracy_phase1':>15}  {'accuracy_phase2':>15}  {'gain_percent':>12}\n"
+        f"{payload['labeled_percent']:>15.1f}  {payload['rounds']:>6d}  "
+        f"{payload['local_epochs']:>6d}  {acc1:>15.6f}  {acc2:>15.6f}  {str(percent):>12}\n"
+    )

@@ -382,25 +382,23 @@ def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
     rank = sorted(range(count), key=lambda i: -sizes[i])
     n = np.array([sizes[i] for i in rank])
     first = np.cumsum([0, *sizes])[rank]  # each client's first row in ``inputs``
-    segment = np.cumsum([0, *n])  # each client's slice of ``order``
     batches = -(-n // batch_size)
-    steps = epochs * batches
+    # Each client's shuffled row order for every epoch, as rows of ``inputs``, epoch after epoch.
+    order = np.concatenate([
+        first[i] + np.random.default_rng(seeds[rank[i]] ^ e).permutation(int(n[i]))
+        for i in range(count) for e in range(epochs)
+    ])
     # The schedule, client by step: batch rows (0 once done) and first slot in ``order``.
-    tick = np.arange(steps[0])
-    within = tick % batches[:, None] * batch_size
-    rows = np.where(tick < steps[:, None], np.minimum(batch_size, n[:, None] - within), 0)
-    starts = segment[:-1, None] + within
+    tick = np.arange(epochs * batches[0])
+    epoch, within = tick // batches[:, None], tick % batches[:, None] * batch_size
+    rows = np.where(epoch < epochs, np.minimum(batch_size, n[:, None] - within), 0)
+    starts = epochs * np.cumsum([0, *n[:-1]])[:, None] + epoch * n[:, None] + within
     live = np.count_nonzero(rows, axis=0).tolist()
-    shuffles = [[] for _ in tick]  # clients that begin an epoch at each step
-    for i, k in zip(*np.nonzero((within == 0) & (rows > 0))):
-        shuffles[k].append((int(i), int(k // batches[i])))
     runs = [[0] for _ in tick]  # first client of each run of equal batch rows
     for i, k in zip(*np.nonzero(rows[1:] != rows[:-1])):
         if i + 1 < live[k]:
             runs[k].append(int(i) + 1)
 
-    # Each client's shuffled row order of its current epoch, as rows of ``inputs``.
-    order = np.empty(segment[-1], dtype=np.intp)
     flat = np.empty((count, params.num_params))
     flat[...] = params.vector
     grad = np.empty_like(flat)
@@ -414,10 +412,7 @@ def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
     arange = np.arange(widest)
     # A diverging step is reported by the finiteness check, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (alive, shuffle, edges) in enumerate(zip(live, shuffles, runs)):
-            for i, epoch in shuffle:
-                perm = np.random.default_rng(seeds[rank[i]] ^ epoch).permutation(int(n[i]))
-                order[segment[i] : segment[i + 1]] = first[i] + perm
+        for k, (alive, edges) in enumerate(zip(live, runs)):
             for a, b in zip(edges, [*edges[1:], alive]):
                 r = rows[a, k]
                 picked = order[starts[a:b, k, None] + arange[:r]]

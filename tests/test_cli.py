@@ -277,6 +277,17 @@ class TestSweep:
         assert (cells / "epochs-1" / "result.json").exists()
         assert (cells / "epochs-2" / "result.json").exists()
 
+    def test_relative_fedsem_out_keeps_cells_beside_table(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FEDSEM_OUT", "outs")
+        path = tmp_path / "rel.ini"
+        path.write_text(BASE_CONFIG.format(out="sweep-out"))
+        assert main(["sweep", "--config", str(path), "--quiet", "--axis", "epochs=1"]) == 0
+        table = tmp_path / "outs" / "sweep-out"
+        assert (table / "sweep.csv").exists()
+        assert (table / "cells" / "epochs-1" / "result.json").exists()
+        assert sorted(p.name for p in (tmp_path / "outs").iterdir()) == ["sweep-out"]
+
     def test_rerun_byte_identical(self, write_config, tmp_path):
         config = write_config(out_dir="sweep-out")
         args = ["sweep", "--config", str(config), "--quiet", "--axis", "rounds=4,6"]
@@ -335,7 +346,8 @@ class TestReport:
         main(["run", "--config", str(write_config()), "--quiet"])
         payload = json.loads((tmp_path / "run-out" / "result.json").read_text())
         bad_phase1 = dict(payload, accuracy_phase1="0.25")
-        for name, bad in (("list.json", []), ("string.json", bad_phase1)):
+        bad_gain = dict(payload, gain=payload["gain"] + 0.01)
+        for name, bad in (("list.json", []), ("string.json", bad_phase1), ("gain.json", bad_gain)):
             path = tmp_path / name
             path.write_text(json.dumps(bad))
             capsys.readouterr()

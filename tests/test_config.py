@@ -1,19 +1,25 @@
-"""Experiment-file parsing: strict keys, defaults, overrides, round-trips."""
+"""Experiment-file parsing: strict keys, defaults, overrides, exact parsed configs."""
 
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from fedsem.config import (
     _SCHEMA,
+    DatasetConfig,
     ExperimentConfig,
+    LabelConfig,
+    OutputConfig,
     apply_overrides,
     build_config,
     load_config,
     parse_config_text,
-    serialize_config,
 )
+from fedsem.data import PartitionSpec
+from fedsem.federation import FederationConfig
+from fedsem.protocol import FedSemConfig
 from fedsem.errors import ConfigError
 
 from conftest import canonical_federation
@@ -74,138 +80,61 @@ CSV_SOURCE = (
 )
 DIRICHLET = "[partition]\nscheme = dirichlet\nalpha = 0.5\n\n[federation]\nrounds = 3\n"
 
-DEFAULT_FEDERATION_TEXT = """[federation]
-clients_per_round = 5
-rounds = 3
-local_epochs = 10
-learning_rate = 0.0001
-batch_size = 32
-solver = adam
-aggregation = sample_weighted
-master_seed = 0
-hidden_dims = 32
+# Every field spelled out: this pins each default an omitted key takes.
+MINIMAL_CONFIG = ExperimentConfig(
+    dataset=DatasetConfig(
+        source="synthetic", samples=4000, classes=10, dim=16, separation=2.0, seed=0,
+        path=None, has_header=False,
+    ),
+    partition=PartitionSpec(
+        scheme="iid", num_clients=20, shards_per_client=None, alpha=None, seed=0
+    ),
+    labels=LabelConfig(labeled_fraction=1.0, mask_mode="per_client", mask_seed=0),
+    federation=FederationConfig(
+        num_clients=20, clients_per_round=5, rounds=8, local_epochs=10, learning_rate=0.0001,
+        batch_size=32, solver="adam", aggregation="sample_weighted", master_seed=0,
+        hidden_dims=(32,),
+    ),
+    fedsem=None,
+    output=OutputConfig(directory=None, formats=("csv", "json")),
+)
 
-[output]
-formats = csv,json
-"""
+FULL_FEDERATION = FederationConfig(
+    num_clients=8, clients_per_round=4, rounds=12, local_epochs=3, learning_rate=0.002,
+    batch_size=16, solver="sgd", aggregation="uniform", master_seed=5, hidden_dims=(16, 8),
+)
 
-SERIALIZED = {
-    "minimal": """[dataset]
-source = synthetic
-samples = 4000
-classes = 10
-dim = 16
-separation = 2.0
-seed = 0
-has_header = false
-
-[partition]
-scheme = iid
-num_clients = 20
-seed = 0
-
-[labels]
-labeled_fraction = 1.0
-mask_mode = per_client
-mask_seed = 0
-
-[federation]
-clients_per_round = 5
-rounds = 8
-local_epochs = 10
-learning_rate = 0.0001
-batch_size = 32
-solver = adam
-aggregation = sample_weighted
-master_seed = 0
-hidden_dims = 32
-
-[output]
-formats = csv,json
-""",
-    "full": """[dataset]
-source = synthetic
-samples = 400
-classes = 4
-dim = 8
-separation = 3.0
-seed = 7
-has_header = false
-
-[partition]
-scheme = shards
-num_clients = 8
-shards_per_client = 2
-seed = 9
-
-[labels]
-labeled_fraction = 0.25
-mask_mode = global
-mask_seed = 11
-
-[federation]
-clients_per_round = 4
-rounds = 12
-local_epochs = 3
-learning_rate = 0.002
-batch_size = 16
-solver = sgd
-aggregation = uniform
-master_seed = 5
-hidden_dims = 16,8
-
-[fedsem]
-phase_switch = on_convergence
-convergence_window = 4
-convergence_epsilon = 0.01
-pseudo_label_threshold = 0.5
-
-[output]
-directory = out/run1
-formats = csv
-""",
-    "csv": """[dataset]
-source = csv
-samples = 4000
-classes = 5
-dim = 16
-separation = 2.0
-seed = 0
-path = data/things.csv
-has_header = true
-
-[partition]
-scheme = iid
-num_clients = 20
-seed = 0
-
-[labels]
-labeled_fraction = 1.0
-mask_mode = per_client
-mask_seed = 0
-
-""" + DEFAULT_FEDERATION_TEXT,
-    "dirichlet": """[dataset]
-source = synthetic
-samples = 4000
-classes = 10
-dim = 16
-separation = 2.0
-seed = 0
-has_header = false
-
-[partition]
-scheme = dirichlet
-num_clients = 20
-alpha = 0.5
-seed = 0
-
-[labels]
-labeled_fraction = 1.0
-mask_mode = per_client
-mask_seed = 0
-
-""" + DEFAULT_FEDERATION_TEXT,
+EXPECTED = {
+    "minimal": MINIMAL_CONFIG,
+    "full": ExperimentConfig(
+        dataset=DatasetConfig(
+            source="synthetic", samples=400, classes=4, dim=8, separation=3.0, seed=7,
+            path=None, has_header=False,
+        ),
+        partition=PartitionSpec(
+            scheme="shards", num_clients=8, shards_per_client=2, alpha=None, seed=9
+        ),
+        labels=LabelConfig(labeled_fraction=0.25, mask_mode="global", mask_seed=11),
+        federation=FULL_FEDERATION,
+        fedsem=FedSemConfig(
+            FULL_FEDERATION, phase_switch="on_convergence", convergence_window=4,
+            convergence_epsilon=0.01, pseudo_label_threshold=0.5,
+        ),
+        output=OutputConfig(directory="out/run1", formats=("csv",)),
+    ),
+    "csv": replace(
+        MINIMAL_CONFIG,
+        dataset=replace(
+            MINIMAL_CONFIG.dataset, source="csv", classes=5, path="data/things.csv",
+            has_header=True,
+        ),
+        federation=replace(MINIMAL_CONFIG.federation, rounds=3),
+    ),
+    "dirichlet": replace(
+        MINIMAL_CONFIG,
+        partition=replace(MINIMAL_CONFIG.partition, scheme="dirichlet", alpha=0.5),
+        federation=replace(MINIMAL_CONFIG.federation, rounds=3),
+    ),
 }
 
 
@@ -332,28 +261,29 @@ class TestOverrides:
             load_config(tmp_path / "absent.ini")
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("text", [MINIMAL, FULL])
-    def test_parse_serialize_parse(self, text):
+class TestParsedConfig:
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_equals_explicit_config(self, name):
+        text = {"minimal": MINIMAL, "full": FULL, "csv": CSV_SOURCE, "dirichlet": DIRICHLET}[name]
         cfg = config_from(text)
-        again = config_from(serialize_config(cfg))
-        assert again == cfg
+        assert cfg == EXPECTED[name]
+        # The reprs also pin each value's type: 2.0 == 2, but "2.0" != "2".
+        assert repr(cfg) == repr(EXPECTED[name])
 
-    def test_round_trip_with_csv_source(self, tmp_path):
-        cfg = config_from(CSV_SOURCE)
-        assert config_from(serialize_config(cfg)) == cfg
 
-    def test_round_trip_with_dirichlet(self):
-        cfg = config_from(DIRICHLET)
-        assert config_from(serialize_config(cfg)) == cfg
-
-    @pytest.mark.parametrize(
-        "name, text",
-        [("minimal", MINIMAL), ("full", FULL), ("csv", CSV_SOURCE), ("dirichlet", DIRICHLET)],
-    )
-    def test_exact_text(self, name, text):
-        # Pins key order and value formatting, which equality round-trips miss.
-        assert serialize_config(config_from(text)) == SERIALIZED[name]
+class TestSchema:
+    def test_section_keys_are_config_fields(self):
+        classes = {
+            "dataset": DatasetConfig,
+            "partition": PartitionSpec,
+            "labels": LabelConfig,
+            "federation": FederationConfig,
+            "fedsem": FedSemConfig,
+            "output": OutputConfig,
+        }
+        assert list(_SCHEMA) == [f.name for f in fields(ExperimentConfig)]
+        for section, keys in _SCHEMA.items():
+            assert set(keys) <= {f.name for f in fields(classes[section])}, section
 
 
 class TestShippedCanonicalConfig:

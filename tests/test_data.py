@@ -1,9 +1,12 @@
 """Dataset generation, CSV ingestion, partitioning, splitting, masking."""
 
+import os
+
 import numpy as np
 import pytest
 
 import fedsem as fs
+from fedsem.data import write_text
 from fedsem.errors import ConfigError, CsvParseError
 
 
@@ -394,3 +397,32 @@ class TestOneHot:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             fs.one_hot(np.array([0.5]), 4)
+
+
+class TestWriteText:
+    # Every file writer goes through write_text; each writes other bytes for another text.
+    WRITERS = {
+        "write_text": write_text,
+        "save_csv": lambda path, text: fs.save_csv(
+            fs.generate_synthetic(len(text), 2, 2, 3.0, seed=0), path
+        ),
+        "export_history": lambda path, text: fs.export_history(
+            [fs.RoundRecord(len(text), "phase1", 0.5, 1.0, (0,))], path
+        ),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_replace_keeps_previous_bytes(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.txt"
+        self.WRITERS[writer](path, "old")
+        before = path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            self.WRITERS[writer](path, "newer")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

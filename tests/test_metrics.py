@@ -128,52 +128,42 @@ class TestExportHistory:
             fs.export_history([], missing_dir, "csv")
 
 
-class FakeResult:
-    def __init__(self, acc1, acc2):
-        self.accuracy_phase1 = acc1
-        self.accuracy_phase2 = acc2
-        self.gain = fs.gain(acc1, acc2)
-
-
-class TestSummarize:
-    def test_fields_copied(self):
-        row = fs.summarize(FakeResult(0.73, 0.78), labeled_fraction=0.2, rounds=50, epochs=20)
-        assert row.labeled_percent == pytest.approx(20.0)
-        assert row.rounds == 50
-        assert row.epochs == 20
-        assert row.gain == pytest.approx(fs.gain(0.73, 0.78), abs=1e-15)
-
-    def test_equal_accuracies_give_zero_gain(self):
-        row = fs.summarize(FakeResult(0.6, 0.6), labeled_fraction=0.5, rounds=10, epochs=5)
-        assert row.gain == 0.0
-
-    def test_inconsistent_gain_rejected(self):
-        with pytest.raises(ValueError):
-            fs.SummaryRow(20.0, 50, 20, 0.73, 0.78, 0.5)
+def fedsem_payload(acc1, acc2, **fields):
+    """The summary fields of a fedsem result payload."""
+    payload = dict(
+        mode="fedsem", labeled_percent=20.0, rounds=50, local_epochs=20,
+        accuracy_phase1=acc1, accuracy_phase2=acc2, gain=fs.gain(acc1, acc2),
+    )
+    return dict(payload, **fields)
 
 
 class TestRenderSummary:
     def test_states_rounding_mode_and_percent(self):
-        row = fs.summarize(FakeResult(0.73, 0.78), labeled_fraction=0.2, rounds=50, epochs=20)
-        text = fs.render_summary([row])
+        text = fs.render_summary(fedsem_payload(0.73, 0.78))
         assert "half-up" in text
         assert "6.4" in text  # 6.410...% rounded to one decimal
         assert "0.730000" in text and "0.780000" in text
 
     def test_half_up_rounding(self):
-        row = fs.SummaryRow(20.0, 10, 5, 0.7305, 0.7655, fs.gain(0.7305, 0.7655))
         # gain = 4.5722...% -> 4.6
-        assert "4.6" in fs.render_summary([row])
+        assert "4.6" in fs.render_summary(fedsem_payload(0.7305, 0.7655))
 
-    def test_multiple_rows_render_in_order(self):
-        rows = [
-            fs.summarize(FakeResult(0.7, 0.8), labeled_fraction=0.1, rounds=30, epochs=20),
-            fs.summarize(FakeResult(0.8, 0.85), labeled_fraction=0.3, rounds=50, epochs=40),
-        ]
-        text = fs.render_summary(rows)
-        body = text.splitlines()[3:]
-        assert len(body) == 2
-        assert "10.0" in body[0] and "30.0" in body[1]
+    def test_fields_copied(self):
+        text = fs.render_summary(fedsem_payload(0.73, 0.78, labeled_percent=12.5, rounds=30))
+        assert text.splitlines()[3].split() == ["12.5", "30", "20", "0.730000", "0.780000", "6.4"]
+
+    def test_equal_accuracies_give_zero_gain(self):
+        assert fs.render_summary(fedsem_payload(0.6, 0.6)).splitlines()[3].endswith(" 0.0")
+
+    def test_inconsistent_gain_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            fs.render_summary(fedsem_payload(0.73, 0.78, gain=0.5))
+
+    def test_zero_round_fedavg_is_not_available(self):
+        payload = {"mode": "fedavg", "rounds": 0, "best_accuracy": None}
+        text = fs.render_summary(payload)
+        assert text == "single-phase federated run\nrounds: 0\nbest test accuracy: n/a\n"
+        assert "0.812500" in fs.render_summary(dict(payload, rounds=3, best_accuracy=0.8125))
 
 
 class TestHistoryFromRuns:
