@@ -223,7 +223,6 @@ def cmd_sweep(args) -> int:
             if not args.quiet:
                 print(f"cell {slug}: gain {payload['gain']:.6f}")
         stage = "writing sweep.csv"
-        out_root.mkdir(parents=True, exist_ok=True)
         write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
     except ConfigError as exc:
         print(f"configuration error during {stage}: {exc}", file=sys.stderr)
