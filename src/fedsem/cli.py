@@ -235,17 +235,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def cmd_report(args) -> int:
     path = Path(args.result)
     if path.is_dir():
         path = path / "result.json"
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read result file: {exc}", file=sys.stderr)
         return 1
     try:
+        payload = json.loads(text, parse_constant=_reject_constant)
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         summary_text = render_summary(payload)

@@ -43,14 +43,12 @@ def gain(acc_phase1: float, acc_phase2: float) -> float:
     """Relative accuracy improvement: (acc2 - acc1) / acc2.
 
     Negative when the second phase underperforms; always < 1 because
-    both accuracies must be positive.
+    both accuracies must lie in (0, 1], which NaN does not.
     """
-    if acc_phase2 <= 0.0:
-        raise ValueError(f"phase-2 accuracy must be positive, got {acc_phase2}")
-    if acc_phase1 <= 0.0:
-        raise ValueError(f"phase-1 accuracy must be positive, got {acc_phase1}")
-    if acc_phase1 > 1.0 or acc_phase2 > 1.0:
-        raise ValueError("accuracies cannot exceed 1")
+    if not 0.0 < acc_phase2 <= 1.0:
+        raise ValueError(f"phase-2 accuracy must be in (0, 1], got {acc_phase2}")
+    if not 0.0 < acc_phase1 <= 1.0:
+        raise ValueError(f"phase-1 accuracy must be in (0, 1], got {acc_phase1}")
     return (acc_phase2 - acc_phase1) / acc_phase2
 
 

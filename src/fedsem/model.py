@@ -4,7 +4,8 @@ This is the training engine every simulated client runs: a multilayer
 perceptron (ReLU hidden layers, softmax output) with exact analytic
 gradients of the mean cross-entropy loss. Values are immutable at the API:
 parameters are one read-only flat vector, and no call writes to its
-caller's arrays. Kernels work in place only in buffers they allocate per call.
+caller's arrays. Kernels work in place only in buffers they allocate per call;
+:func:`forward` runs in row blocks, so inference holds one block per hidden layer.
 Values are validated where they enter and leave the API, not per step:
 :func:`train_local` checks only that its private vectors stay finite.
 
@@ -28,6 +29,7 @@ PROB_FLOOR = 1e-12
 SOLVERS = ("sgd", "adam")
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
+BLOCK_ROWS = 4096  # fewest rows per forward block; see _block_rows
 
 
 def _check_dims(layer_dims) -> tuple[int, ...]:
@@ -193,12 +195,9 @@ def _check_inputs(params: ModelParams, inputs) -> np.ndarray:
     return x
 
 
-def _layer_buffers(dims, rows: int):
-    """Output buffers for ``rows`` samples, one per layer, each made on demand.
-
-    A forward pass over them holds at most its input and two layer outputs at once.
-    """
-    return (np.empty((rows, d)) for d in dims[1:])
+def _block_rows(dims) -> int:
+    """Rows per :func:`forward` block; >= 2**21 products per gemm avoid OpenBLAS's small kernel."""
+    return max(BLOCK_ROWS, -(-(2**21) // min(a * b for a, b in zip(dims, dims[1:]))))
 
 
 def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
@@ -220,9 +219,21 @@ def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
 
 
 def forward(params: ModelParams, inputs) -> np.ndarray:
-    """Class probabilities, one softmax row per input row."""
+    """Class probabilities, one softmax row per input row.
+
+    The layers run over blocks of :func:`_block_rows` rows in one buffer per
+    hidden layer. The last block ends at the last row, overlapping the one
+    before it, so every gemm has the same row count.
+    """
     x = _check_inputs(params, inputs)
-    return _forward((params.weights, params.biases), x, _layer_buffers(params.layer_dims, len(x)))
+    dims, n = params.layer_dims, len(x)
+    rows = min(n, _block_rows(dims))
+    hidden = [np.empty((rows, d)) for d in dims[1:-1]]
+    probs = np.empty((n, dims[-1]))
+    for start in range(0, n, rows or 1):
+        block = slice(min(start, n - rows), min(start, n - rows) + rows)
+        _forward((params.weights, params.biases), x[block], [*hidden, probs[block]])
+    return probs
 
 
 def _check_batch(params: ModelParams, batch: Batch) -> np.ndarray:

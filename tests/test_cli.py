@@ -1,6 +1,7 @@
 """Command-line workflows: generate, run, sweep, report, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -347,7 +348,10 @@ class TestReport:
         payload = json.loads((tmp_path / "run-out" / "result.json").read_text())
         bad_phase1 = dict(payload, accuracy_phase1="0.25")
         bad_gain = dict(payload, gain=payload["gain"] + 0.01)
-        for name, bad in (("list.json", []), ("string.json", bad_phase1), ("gain.json", bad_gain)):
+        # json.dumps writes NaN as a bare token, which strict JSON does not allow.
+        nan = dict(payload, accuracy_phase1=math.nan, accuracy_phase2=math.nan, gain=math.nan)
+        for name, bad in (("list.json", []), ("string.json", bad_phase1), ("gain.json", bad_gain),
+                          ("nan.json", nan)):
             path = tmp_path / name
             path.write_text(json.dumps(bad))
             capsys.readouterr()

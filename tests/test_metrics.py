@@ -1,5 +1,7 @@
 """Gain metric, round records, history export and round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,11 @@ class TestGain:
     def test_nonpositive_phase1_rejected(self):
         with pytest.raises(ValueError):
             fs.gain(0.0, 0.5)
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_rejected(self, pair):
+        with pytest.raises(ValueError):
+            fs.gain(*pair)
 
 
 class TestRoundRecord:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import fedsem as fs
 from fedsem.errors import ConfigError, ShapeError
+from fedsem.model import _block_rows
 
 from conftest import finite_difference_gradient, params_equal, random_model_and_batch
 
@@ -522,6 +524,31 @@ def reference_forward(params, inputs):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def assert_inference_matches_reference(params, inputs, labels, threshold, rng):
+    """forward, evaluate and pseudo_label equal their plain-numpy expressions bit for bit."""
+    rows, classes = inputs.shape[0], params.layer_dims[-1]
+    batch = fs.Batch(inputs, fs.one_hot(labels, classes))
+    probs = reference_forward(params, batch.inputs)
+    assert fs.forward(params, batch.inputs).tobytes() == probs.tobytes()
+
+    accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
+    mean_loss = -(batch.targets * np.log(np.maximum(probs, 1e-12))).sum() / rows
+    assert fs.evaluate(params, batch) == (accuracy, float(mean_loss))
+
+    visible = rng.random(rows) < 0.3
+    dataset = fs.Dataset(batch.inputs, labels, visible, classes)
+    hidden_rows = np.flatnonzero(~visible)
+    hidden_probs = reference_forward(params, batch.inputs[hidden_rows])
+    confident = hidden_probs.max(axis=1) >= threshold
+    filled = hidden_rows[confident]
+    expected_labels = labels.copy()
+    expected_labels[filled] = hidden_probs.argmax(axis=1)[confident]
+    labeled = fs.pseudo_label(params, dataset, threshold)
+    assert labeled.labels.tobytes() == expected_labels.tobytes()
+    assert np.flatnonzero(labeled.pseudo_mask).tolist() == filled.tolist()
+    assert np.array_equal(labeled.label_visible, visible | labeled.pseudo_mask)
+
+
 class TestForwardMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -538,26 +565,43 @@ class TestForwardMatchesReference:
         params = fs.init_params((dim, *hidden, classes), seed=seed)
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, classes, rows)
-        batch = fs.Batch(scale * rng.normal(size=(rows, dim)), fs.one_hot(labels, classes))
-        probs = reference_forward(params, batch.inputs)
-        assert fs.forward(params, batch.inputs).tobytes() == probs.tobytes()
+        inputs = scale * rng.normal(size=(rows, dim))
+        assert_inference_matches_reference(params, inputs, labels, threshold, rng)
 
-        accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
-        mean_loss = -(batch.targets * np.log(np.maximum(probs, 1e-12))).sum() / rows
-        assert fs.evaluate(params, batch) == (accuracy, float(mean_loss))
+    # Past one block, forward runs several equal blocks, the last overlapping the one before.
+    # Narrow layers such as (32, 2) get large blocks, which keep every gemm off OpenBLAS's
+    # small-matrix kernel; a short last block would fall onto it and round differently.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dims=st.one_of(
+            st.sampled_from([(32, 2), (16, 48, 10), (32, 128, 64, 10), (8, 192, 192, 3)]),
+            st.lists(st.integers(8, 192), min_size=2, max_size=4),
+        ),
+        position=st.floats(0.0, 1.0),
+        scale=st.sampled_from([1.0, 40.0]),
+        threshold=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocked_bit_identical(self, dims, position, scale, threshold, seed):
+        block = _block_rows(dims)
+        rows = block + 1 + int(position * (2 * block - 1))  # in (block, 3 * block]
+        params = fs.init_params(dims, seed=seed)
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, dims[-1], rows)
+        inputs = scale * rng.normal(size=(rows, dims[0]))
+        assert_inference_matches_reference(params, inputs, labels, threshold, rng)
 
-        visible = rng.random(rows) < 0.3
-        dataset = fs.Dataset(batch.inputs, labels, visible, classes)
-        hidden_rows = np.flatnonzero(~visible)
-        hidden_probs = reference_forward(params, batch.inputs[hidden_rows])
-        confident = hidden_probs.max(axis=1) >= threshold
-        filled = hidden_rows[confident]
-        expected_labels = labels.copy()
-        expected_labels[filled] = hidden_probs.argmax(axis=1)[confident]
-        labeled = fs.pseudo_label(params, dataset, threshold)
-        assert labeled.labels.tobytes() == expected_labels.tobytes()
-        assert np.flatnonzero(labeled.pseudo_mask).tolist() == filled.tolist()
-        assert np.array_equal(labeled.label_visible, visible | labeled.pseudo_mask)
+    def test_memory_bounded_by_block(self):
+        # One unblocked pass over these 80k rows holds 80k x 128 and 80k x 64 buffers: 123 MB.
+        params = fs.init_params((32, 128, 64, 10), seed=0)
+        inputs = np.random.default_rng(0).normal(size=(80_000, 32))
+        tracemalloc.start()
+        try:
+            fs.forward(params, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_caller_arrays_untouched(self):
         params, batch = random_model_and_batch(23, batch_rows=12)
