@@ -102,7 +102,7 @@ def _execute(config: ExperimentConfig, dataset, shards):
             model_phase2_sha256=_params_digest(result.model_phase2),
         )
     else:
-        state = run_fedavg(fed, shards, dataset, labeled_only=False)
+        state = run_fedavg(fed, shards, dataset)
         history = state.history
         payload = dict(
             common,
@@ -190,8 +190,6 @@ def _parse_axes(axis_args) -> list[tuple[str, list[str]]]:
         values = [v.strip() for v in raw_values.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"axis {key} has no values")
-        if len(set(values)) < len(values):
-            raise ConfigError(f"axis {key} has repeated values: {raw_values.strip()}")
         axes[key] = values
     return list(axes.items())
 
@@ -202,16 +200,21 @@ def cmd_sweep(args) -> int:
     if base.fedsem is None:
         raise ConfigError("sweep requires a [fedsem] section in the config")
     out_root = resolve_output_dir(base.output.directory)
+    # A bad or repeated cell must fail before any cell writes output.
+    cells: dict[str, ExperimentConfig] = {}
+    for cell in itertools.product(*[[(key, v) for v in values] for key, values in axes]):
+        slug = "_".join(f"{key}-{value}" for key, value in cell)
+        cell_overrides = list(args.override) + [
+            f"{SWEEP_AXES[key][0]}.{SWEEP_AXES[key][1]}={value}" for key, value in cell
+        ]
+        config = load_config(args.config, overrides=cell_overrides, seed=args.seed)
+        if config in cells.values():
+            raise ConfigError(f"sweep cell {slug} repeated: same experiment as an earlier cell")
+        cells[slug] = config
     rows: list[str] = []
-    stage = "sweep setup"
     try:
-        for cell in itertools.product(*[[(key, v) for v in values] for key, values in axes]):
-            slug = "_".join(f"{key}-{value}" for key, value in cell)
+        for slug, config in cells.items():
             stage = f"cell {slug}"
-            cell_overrides = list(args.override) + [
-                f"{SWEEP_AXES[key][0]}.{SWEEP_AXES[key][1]}={value}" for key, value in cell
-            ]
-            config = load_config(args.config, overrides=cell_overrides, seed=args.seed)
             dataset, shards = _prepare_data(config)
             history, payload = _execute(config, dataset, shards)
             _write_outputs(out_root / "cells" / slug, history, payload, config.output.formats)

@@ -103,13 +103,9 @@ def _round_order(master_seed: int, round_index: int, eligible) -> list[int]:
     return [ids[i] for i in rng.permutation(len(ids))]
 
 
-def training_view(shard: ClientShard, dataset: Dataset, labeled_only: bool) -> np.ndarray:
-    """Indices this client may train on: visible labels, and with
-    ``labeled_only`` also excluding model-filled (pseudo) labels."""
-    usable = dataset.label_visible[shard.train_indices]
-    if labeled_only:
-        usable = usable & ~dataset.pseudo_mask[shard.train_indices]
-    return shard.train_indices[usable]
+def training_view(shard: ClientShard, dataset: Dataset) -> np.ndarray:
+    """Indices this client may train on: its training samples with a visible label."""
+    return shard.train_indices[dataset.label_visible[shard.train_indices]]
 
 
 def _view_batch(dataset: Dataset, indices: np.ndarray) -> Batch:
@@ -196,32 +192,29 @@ def run_round(
     shards,
     dataset: Dataset,
     config: FederationConfig,
-    labeled_only: bool = False,
     phase: str = "phase1",
     *,
-    eval_batch: Batch | None = None,
+    eval_batch: Batch,
 ) -> ServerState:
     """One full federated round; returns the advanced server state.
 
-    Clients whose training view is empty are skipped and replaced by the
-    next eligible id in this round's seeded order, keeping the
-    participant count whenever enough trainable clients exist. The new
-    model is evaluated on ``eval_batch`` (default: built from ``shards``).
+    Clients whose :func:`training_view` is empty are skipped and replaced
+    by the next eligible id in this round's seeded order, keeping the
+    participant count whenever enough trainable clients exist, and raising
+    :class:`RoundFailure` if none is. ``eval_batch`` scores the new model.
     """
     by_id = {s.client_id: s for s in shards}
     cohort = []
     for cid in _round_order(config.master_seed, state.round, by_id.keys()):
         if len(cohort) == config.clients_per_round:
             break
-        view = training_view(by_id[cid], dataset, labeled_only)
+        view = training_view(by_id[cid], dataset)
         if view.size:
             cohort.append((by_id[cid], view))
     if not cohort:
         raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
     updates = client_round(state.global_params, cohort, dataset, config, state.round)
     new_params = aggregate(updates, config.aggregation)
-    if eval_batch is None:
-        eval_batch = evaluation_batch(shards, dataset)
     accuracy, mean_loss = evaluate(new_params, eval_batch)
     record = RoundRecord(
         round=state.round,
@@ -247,7 +240,6 @@ def run_fedavg(
     config: FederationConfig,
     shards,
     dataset: Dataset,
-    labeled_only: bool = False,
     *,
     rounds: int | None = None,
     start_params: ModelParams | None = None,
@@ -268,9 +260,7 @@ def run_fedavg(
     state = ServerState(global_params=params, round=start_round, history=())
     eval_batch = evaluation_batch(shards, dataset) if n_rounds else None
     for _ in range(n_rounds):
-        state = run_round(
-            state, shards, dataset, config, labeled_only, phase, eval_batch=eval_batch
-        )
+        state = run_round(state, shards, dataset, config, phase, eval_batch=eval_batch)
         if stop is not None and stop(state.history):
             break
     return state

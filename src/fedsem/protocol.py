@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, _freeze
-from .errors import ConfigError, RoundFailure, ShapeError
-from .federation import FederationConfig, run_fedavg, training_view
+from .errors import ConfigError, ShapeError
+from .federation import FederationConfig, run_fedavg
 from .metrics import RoundRecord, gain
 from .model import ModelParams, forward
 
@@ -34,6 +34,8 @@ class FedSemConfig:
     pseudo_label_threshold: float = 0.0
 
     def __post_init__(self):
+        if self.federation.rounds < 2:
+            raise ConfigError("a two-phase run needs rounds >= 2")
         if self.phase_switch not in PHASE_SWITCH_MODES:
             raise ConfigError(
                 f"unknown phase_switch {self.phase_switch!r}, "
@@ -99,23 +101,19 @@ def run_phase1(
     shards,
     dataset: Dataset,
 ) -> tuple[ModelParams, tuple[RoundRecord, ...]]:
-    """Labeled-only federated training up to the configured switch point.
+    """Federated training on observed labels up to the configured switch point.
 
-    ``at_half_rounds`` trains ``rounds // 2`` rounds. ``on_convergence``
-    trains until :func:`converged` holds, within ``rounds - 1`` rounds so
-    that phase 2 keeps at least one.
+    Model-filled labels (``pseudo_mask``) are hidden first, so they never
+    train phase 1. ``at_half_rounds`` trains ``rounds // 2`` rounds.
+    ``on_convergence`` trains until :func:`converged` holds, within
+    ``rounds - 1`` rounds so that phase 2 keeps at least one.
     """
     fed = config.federation
-    if fed.rounds < 2:
-        raise ConfigError("a two-phase run needs rounds >= 2")
-    if not any(training_view(s, dataset, labeled_only=True).size for s in shards):
-        raise RoundFailure("phase 1 cannot train: no client holds a visible label")
     budget = fed.rounds // 2 if config.phase_switch == "at_half_rounds" else fed.rounds - 1
     state = run_fedavg(
         fed,
         shards,
-        dataset,
-        labeled_only=True,
+        replace(dataset, label_visible=_freeze(dataset.label_visible & ~dataset.pseudo_mask)),
         rounds=budget,
         phase="phase1",
         stop=_stop_rule(config),
@@ -137,20 +135,12 @@ def pseudo_label(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    if dataset.dim != model_phase1.layer_dims[0]:
-        raise ShapeError(
-            f"dataset dim {dataset.dim} does not match model input "
-            f"{model_phase1.layer_dims[0]}"
-        )
     if dataset.num_classes != model_phase1.layer_dims[-1]:
         raise ShapeError(
             f"dataset has {dataset.num_classes} classes but the model outputs "
             f"{model_phase1.layer_dims[-1]}"
         )
     hidden = np.flatnonzero(~dataset.label_visible)
-    if hidden.size == 0:
-        return replace(dataset)
-
     probs = forward(model_phase1, dataset.features[hidden])
     confident = probs.max(axis=1) >= threshold
     filled = hidden[confident]
@@ -188,7 +178,6 @@ def run_phase2(
         fed,
         shards,
         dataset,
-        labeled_only=False,
         rounds=budget,
         start_params=model_phase1,
         start_round=start_round,

@@ -306,7 +306,13 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "axes", [["labeled_fraction=0.2,0.2"], ["epochs=1", "epochs=2"]]
+        "axes",
+        [
+            ["labeled_fraction=0.2,0.2"],
+            ["epochs=1", "epochs=2"],
+            ["seed=1,01"],
+            ["labeled_fraction=0.1,0.10"],
+        ],
     )
     def test_repeated_axis_value_or_key_exit_2(self, write_config, tmp_path, capsys, axes):
         config = write_config(out_dir="sweep-out")
@@ -315,6 +321,12 @@ class TestSweep:
             args += ["--axis", axis]
         assert main(args) == 2
         assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "sweep-out").exists()
+
+    @pytest.mark.parametrize("axis", ["seed=1,abc", "rounds=4,1"])
+    def test_bad_later_value_exit_2_before_any_cell(self, write_config, tmp_path, axis):
+        config = write_config(out_dir="sweep-out")
+        assert main(["sweep", "--config", str(config), "--quiet", "--axis", axis]) == 2
         assert not (tmp_path / "sweep-out").exists()
 
     def test_unknown_axis_exit_2(self, write_config, capsys):

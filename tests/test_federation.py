@@ -61,11 +61,9 @@ class TestFederationConfig:
         assert tiny_federation(rounds=0).rounds == 0
 
 
-def round_participants(config, dataset, shards, rounds, labeled_only=False):
+def round_participants(config, dataset, shards, rounds):
     """Participant ids run_round records for each of ``rounds`` rounds."""
-    history = fs.run_fedavg(
-        config, shards, dataset, labeled_only=labeled_only, rounds=rounds
-    ).history
+    history = fs.run_fedavg(config, shards, dataset, rounds=rounds).history
     return [record.participant_ids for record in history]
 
 
@@ -91,7 +89,7 @@ class TestSampleClients:
             visible[shards[cid].train_indices] = False
         partial = dataclasses.replace(masked, label_visible=visible)
         config = tiny_federation(clients_per_round=2)
-        for chosen in round_participants(config, partial, shards, rounds=4, labeled_only=True):
+        for chosen in round_participants(config, partial, shards, rounds=4):
             assert list(chosen) == sorted(chosen)
             assert set(chosen) <= {0, 2, 4}
 
@@ -109,24 +107,15 @@ class TestSampleClients:
         assert len(set(round_participants(config, masked, shards, rounds=6))) > 1
 
 
-def cohort_of(shards, dataset, labeled_only=False):
-    return [(s, fs.training_view(s, dataset, labeled_only)) for s in shards]
+def cohort_of(shards, dataset):
+    return [(s, fs.training_view(s, dataset)) for s in shards]
 
 
 class TestClientRound:
-    def test_labeled_only_equals_unlabeled_when_fully_visible(self):
-        masked, shards = tiny_pipeline(labeled_fraction=1.0)
-        config = tiny_federation()
-        params = fs.init_params((4, 6, 3), seed=0)
-        (a,) = fs.client_round(params, cohort_of(shards[:1], masked, True), masked, config, 0)
-        (b,) = fs.client_round(params, cohort_of(shards[:1], masked, False), masked, config, 0)
-        assert a.num_samples == b.num_samples
-        assert params_equal(a.params, b.params)
-
     def test_epoch_compositionality_sgd(self):
         # One E-epoch call equals E single-epoch calls with matching per-epoch seeds.
         masked, shards = tiny_pipeline()
-        view = fs.training_view(shards[0], masked, labeled_only=False)
+        view = fs.training_view(shards[0], masked)
         batch = fs.Batch(masked.features[view], fs.one_hot(masked.labels[view], 3))
         params = fs.init_params((4, 6, 3), seed=1)
         base_seed = 91
@@ -159,7 +148,7 @@ class TestClientRound:
     def test_uses_only_visible_samples(self):
         masked, shards = tiny_pipeline(labeled_fraction=0.5)
         (update,) = fs.client_round(
-            fs.init_params((4, 6, 3), seed=0), cohort_of(shards[:1], masked, True), masked,
+            fs.init_params((4, 6, 3), seed=0), cohort_of(shards[:1], masked), masked,
             tiny_federation(), 0,
         )
         visible = int(masked.label_visible[shards[0].train_indices].sum())
@@ -170,10 +159,10 @@ class TestClientRound:
         params = fs.init_params((4, 6, 3), seed=3)
         config = tiny_federation(solver="adam", batch_size=3)
         order = [shards[4], shards[1], shards[5], shards[0]]
-        together = fs.client_round(params, cohort_of(order, masked, True), masked, config, 2)
+        together = fs.client_round(params, cohort_of(order, masked), masked, config, 2)
         assert [u.client_id for u in together] == [4, 1, 5, 0]
         for update, shard in zip(together, order):
-            (alone,) = fs.client_round(params, cohort_of([shard], masked, True), masked, config, 2)
+            (alone,) = fs.client_round(params, cohort_of([shard], masked), masked, config, 2)
             assert update.num_samples == alone.num_samples
             assert params_equal(update.params, alone.params)
 
@@ -255,8 +244,10 @@ class TestRunRound:
         masked, shards = tiny_pipeline(num_clients=1, n=40)
         config = tiny_federation(num_clients=1, clients_per_round=1)
         state = fs.ServerState(fs.initial_params(config, masked), round=0)
-        advanced = fs.run_round(state, shards, masked, config)
-        view = fs.training_view(shards[0], masked, labeled_only=False)
+        advanced = fs.run_round(
+            state, shards, masked, config, eval_batch=fs.evaluation_batch(shards, masked)
+        )
+        view = fs.training_view(shards[0], masked)
         batch = fs.Batch(masked.features[view], fs.one_hot(masked.labels[view], 3))
         expected = fs.train_local(
             state.global_params,
@@ -273,8 +264,9 @@ class TestRunRound:
         masked, shards = tiny_pipeline()
         config = tiny_federation()
         state = fs.ServerState(fs.initial_params(config, masked), round=0)
+        eval_batch = fs.evaluation_batch(shards, masked)
         for expected_len in range(1, 4):
-            state = fs.run_round(state, shards, masked, config)
+            state = fs.run_round(state, shards, masked, config, eval_batch=eval_batch)
             assert len(state.history) == expected_len
             assert state.round == expected_len
 
@@ -282,7 +274,8 @@ class TestRunRound:
         masked, shards = tiny_pipeline()
         config = tiny_federation()
         state = fs.run_round(
-            fs.ServerState(fs.initial_params(config, masked), round=0), shards, masked, config
+            fs.ServerState(fs.initial_params(config, masked), round=0), shards, masked, config,
+            eval_batch=fs.evaluation_batch(shards, masked),
         )
         record = state.history[0]
         assert len(record.participant_ids) == config.clients_per_round
@@ -298,7 +291,7 @@ class TestRunRound:
         blind = dataclasses.replace(masked, label_visible=hidden)
         state = fs.run_round(
             fs.ServerState(fs.initial_params(config, blind), round=0),
-            shards, blind, config, labeled_only=True,
+            shards, blind, config, eval_batch=fs.evaluation_batch(shards, blind),
         )
         record = state.history[0]
         assert len(record.participant_ids) == config.clients_per_round
@@ -321,7 +314,7 @@ class TestRunRound:
         monkeypatch.setattr(fs.federation, "training_view", counted)
         fs.run_round(
             fs.ServerState(fs.initial_params(config, blind), round=0),
-            shards, blind, config, labeled_only=True,
+            shards, blind, config, eval_batch=fs.evaluation_batch(shards, blind),
         )
         # The starved client is one candidate more; nobody is viewed twice.
         assert len(calls) == config.clients_per_round + 1
@@ -336,15 +329,22 @@ class TestRunRound:
         with pytest.raises(RoundFailure):
             fs.run_round(
                 fs.ServerState(fs.initial_params(config, nothing), round=0),
-                shards, nothing, config, labeled_only=True,
+                shards, nothing, config, eval_batch=fs.evaluation_batch(shards, nothing),
             )
 
     def test_shard_order_changes_nothing(self):
         masked, shards = tiny_pipeline()
         config = tiny_federation()
         init = fs.initial_params(config, masked)
-        a = fs.run_round(fs.ServerState(init, round=0), shards, masked, config)
-        b = fs.run_round(fs.ServerState(init, round=0), list(reversed(shards)), masked, config)
+        reordered = list(reversed(shards))
+        a = fs.run_round(
+            fs.ServerState(init, round=0), shards, masked, config,
+            eval_batch=fs.evaluation_batch(shards, masked),
+        )
+        b = fs.run_round(
+            fs.ServerState(init, round=0), reordered, masked, config,
+            eval_batch=fs.evaluation_batch(reordered, masked),
+        )
         assert a.global_params.flatten().tobytes() == b.global_params.flatten().tobytes()
         assert a.history == b.history
 
@@ -382,8 +382,8 @@ class TestDataFencing:
         poisoned_labels[~masked.label_visible] = masked.num_classes + 77
         poisoned = dataclasses.replace(masked, labels=poisoned_labels)
         config = tiny_federation()
-        clean_state = fs.run_fedavg(config, shards, masked, labeled_only=True)
-        poisoned_state = fs.run_fedavg(config, shards, poisoned, labeled_only=True)
+        clean_state = fs.run_fedavg(config, shards, masked)
+        poisoned_state = fs.run_fedavg(config, shards, poisoned)
         assert clean_state.history == poisoned_state.history
         assert (
             clean_state.global_params.flatten().tobytes()

@@ -88,9 +88,7 @@ class TestRunPhase1:
         masked, shards = small_pipeline(labeled_fraction=1.0)
         config = small_config()
         model, history = fs.run_phase1(config, shards, masked)
-        state = fs.run_fedavg(
-            config.federation, shards, masked, labeled_only=False, rounds=3
-        )
+        state = fs.run_fedavg(config.federation, shards, masked, rounds=3)
         assert params_equal(model, state.global_params)
         assert history == state.history
 
@@ -112,6 +110,18 @@ class TestRunPhase1:
         )
         with pytest.raises(RoundFailure):
             fs.run_phase1(small_config(), shards, blind)
+
+    def test_model_filled_labels_are_not_training_data(self):
+        dataset = fs.generate_synthetic(600, 4, 8, 2.0, seed=5)
+        spec = fs.PartitionSpec("iid", num_clients=6, seed=5)
+        masked, shards = build_pipeline(dataset, spec, labeled_fraction=0.3)
+        config = small_config(num_clients=6, rounds=4)
+        model, history = fs.run_phase1(config, shards, masked)
+        labeled = fs.pseudo_label(model, masked, threshold=0.0)
+        assert int(labeled.pseudo_mask.sum()) == 336
+        fenced_model, fenced_history = fs.run_phase1(config, shards, labeled)
+        assert fenced_model.flatten().tobytes() == model.flatten().tobytes()
+        assert fenced_history == history
 
     def test_single_round_budget_rejected(self):
         masked, shards = small_pipeline()
@@ -189,7 +199,8 @@ class TestRunPhase2:
         _, history2 = fs.run_phase2(model1, labeled, config, shards, start_round=len(history1))
         expected_first = fs.run_round(
             fs.ServerState(model1, round=len(history1)),
-            shards, labeled, config.federation, labeled_only=False, phase="phase2",
+            shards, labeled, config.federation, phase="phase2",
+            eval_batch=fs.evaluation_batch(shards, labeled),
         )
         assert history2[0] == expected_first.history[0]
 
@@ -210,7 +221,7 @@ class TestRunPhase2:
         masked, shards = small_pipeline(labeled_fraction=0.4)
         config = dataclasses.replace(small_config(), pseudo_label_threshold=1.0)
         result = fs.run_fedsem(config, shards, masked)
-        continuous = fs.run_fedavg(config.federation, shards, masked, labeled_only=True)
+        continuous = fs.run_fedavg(config.federation, shards, masked)
         for two_phase, straight in zip(result.history, continuous.history):
             assert two_phase.round == straight.round
             assert two_phase.test_accuracy == straight.test_accuracy
@@ -264,8 +275,8 @@ class TestRunFedsem:
         result = fs.run_fedsem(config, shards, masked)
         labeled = fs.pseudo_label(result.model_phase1, masked, threshold=1.0)
         for shard in shards:
-            phase1_view = fs.training_view(shard, masked, labeled_only=True)
-            phase2_view = fs.training_view(shard, labeled, labeled_only=False)
+            phase1_view = fs.training_view(shard, masked)
+            phase2_view = fs.training_view(shard, labeled)
             assert phase1_view.size == phase2_view.size
         assert result.pseudo_label_accuracy is None
 
