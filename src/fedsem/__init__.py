@@ -20,17 +20,20 @@ from .data import (
     save_csv,
     split_train_test,
 )
-from .errors import ConfigError, CsvParseError, RoundFailure, ShapeError
+from .errors import ConfigError, CsvParseError, RoundFailure, ShapeError, TrainingDivergence
 from .federation import (
     AGGREGATIONS,
     ClientUpdate,
+    Cohort,
     FederationConfig,
     ServerState,
     aggregate,
     client_round,
     evaluation_batch,
+    fedavg_run,
     initial_params,
     run_fedavg,
+    run_lockstep,
     run_round,
     training_view,
 )
@@ -54,6 +57,7 @@ from .protocol import (
     ExperimentResult,
     FedSemConfig,
     converged,
+    fedsem_run,
     pseudo_label,
     run_fedsem,
     run_phase1,
@@ -67,6 +71,7 @@ __all__ = [
     "Batch",
     "ClientShard",
     "ClientUpdate",
+    "Cohort",
     "ConfigError",
     "CsvParseError",
     "Dataset",
@@ -81,6 +86,7 @@ __all__ = [
     "SOLVERS",
     "ServerState",
     "ShapeError",
+    "TrainingDivergence",
     "aggregate",
     "backward",
     "client_round",
@@ -88,6 +94,8 @@ __all__ = [
     "evaluate",
     "evaluation_batch",
     "export_history",
+    "fedavg_run",
+    "fedsem_run",
     "forward",
     "gain",
     "generate_synthetic",
@@ -106,6 +114,7 @@ __all__ = [
     "render_summary",
     "run_fedavg",
     "run_fedsem",
+    "run_lockstep",
     "run_phase1",
     "run_phase2",
     "run_round",

@@ -26,9 +26,9 @@ from .config import ExperimentConfig, load_config
 from .data import generate_synthetic, load_csv, mask_labels, partition, save_csv
 from .data import split_train_test, write_text
 from .errors import ConfigError
-from .federation import run_fedavg
+from .federation import run_fedavg, run_lockstep
 from .metrics import export_history, render_summary
-from .protocol import run_fedsem
+from .protocol import fedsem_run, run_fedsem
 
 TRAIN_RATIO = 0.8
 SWEEP_AXES = {
@@ -38,6 +38,8 @@ SWEEP_AXES = {
     "seed": ("federation", "master_seed"),
 }
 SWEEP_HEADER = "labeled_percent,rounds,epochs,seed,accuracy_phase1,accuracy_phase2,gain"
+# Clients per lockstep train_local call past which stacking more saves no time.
+STACK_CLIENTS = 10
 
 
 def resolve_output_dir(configured: str | None) -> Path:
@@ -75,6 +77,13 @@ def _prepare_data(config: ExperimentConfig):
 
 def _execute(config: ExperimentConfig, dataset, shards):
     """Run one experiment; returns (history, result payload)."""
+    if config.fedsem is not None:
+        return _report(config, run_fedsem(config.fedsem, shards, dataset))
+    return _report(config, run_fedavg(config.federation, shards, dataset))
+
+
+def _report(config: ExperimentConfig, result):
+    """(history, result payload) of a fedsem ``ExperimentResult`` or a fedavg ``ServerState``."""
     fed = config.federation
     common = {
         "clients": fed.num_clients,
@@ -84,7 +93,6 @@ def _execute(config: ExperimentConfig, dataset, shards):
         "rounds": fed.rounds,
     }
     if config.fedsem is not None:
-        result = run_fedsem(config.fedsem, shards, dataset)
         history = result.history
         payload = dict(
             common,
@@ -102,15 +110,14 @@ def _execute(config: ExperimentConfig, dataset, shards):
             model_phase2_sha256=_params_digest(result.model_phase2),
         )
     else:
-        state = run_fedavg(fed, shards, dataset)
-        history = state.history
+        history = result.history
         payload = dict(
             common,
             mode="fedavg",
             best_accuracy=max(r.test_accuracy for r in history) if history else None,
             final_test_accuracy=history[-1].test_accuracy if history else None,
             final_test_loss=history[-1].test_loss if history else None,
-            model_sha256=_params_digest(state.global_params),
+            model_sha256=_params_digest(result.global_params),
         )
     return history, payload
 
@@ -211,20 +218,35 @@ def cmd_sweep(args) -> int:
         if config in cells.values():
             raise ConfigError(f"sweep cell {slug} repeated: same experiment as an earlier cell")
         cells[slug] = config
+    # Consecutive cells train in lockstep, about STACK_CLIENTS clients per round.
+    size = -(-STACK_CLIENTS // base.federation.clients_per_round)
+    slugs = list(cells)
     rows: list[str] = []
     try:
-        for slug, config in cells.items():
-            stage = f"cell {slug}"
-            dataset, shards = _prepare_data(config)
-            history, payload = _execute(config, dataset, shards)
-            _write_outputs(out_root / "cells" / slug, history, payload, config.output.formats)
-            rows.append(
-                f"{payload['labeled_percent']:g},{payload['rounds']},{payload['local_epochs']},"
-                f"{config.federation.master_seed},{payload['accuracy_phase1']:.6f},"
-                f"{payload['accuracy_phase2']:.6f},{payload['gain']:.6f}"
-            )
-            if not args.quiet:
-                print(f"cell {slug}: gain {payload['gain']:.6f}")
+        for start in range(0, len(slugs), size):
+            group, runs = slugs[start : start + size], []
+            for slug in group:
+                stage = f"cell {slug}"
+                dataset, shards = _prepare_data(cells[slug])
+                runs.append(fedsem_run(cells[slug].fedsem, shards, dataset))
+            stage = f"cells {', '.join(group)}"
+            try:
+                results = run_lockstep(runs)
+            except Exception as exc:
+                if hasattr(exc, "run"):
+                    stage = f"cell {group[exc.run]}"
+                raise
+            for slug, result in zip(group, results):
+                stage, config = f"cell {slug}", cells[slug]
+                history, payload = _report(config, result)
+                _write_outputs(out_root / "cells" / slug, history, payload, config.output.formats)
+                rows.append(
+                    f"{payload['labeled_percent']:g},{payload['rounds']},{payload['local_epochs']},"
+                    f"{config.federation.master_seed},{payload['accuracy_phase1']:.6f},"
+                    f"{payload['accuracy_phase2']:.6f},{payload['gain']:.6f}"
+                )
+                if not args.quiet:
+                    print(f"cell {slug}: gain {payload['gain']:.6f}")
         stage = "writing sweep.csv"
         write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
     except ConfigError as exc:

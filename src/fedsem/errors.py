@@ -19,5 +19,21 @@ class CsvParseError(ValueError):
         self.line_number = line_number
 
 
+class TrainingDivergence(ValueError):
+    """Local training left non-finite parameters at ``step``, first for ``client``.
+
+    :func:`~fedsem.model.train_local` names the client by its position in
+    the cohort. :func:`~fedsem.federation.client_round` re-raises with the
+    client id, the index of the ``cohort`` it trained in, and a message
+    prefix naming the phase, round and client.
+    """
+
+    def __init__(self, step: int, client: int, cohort: int = 0, where: str = ""):
+        super().__init__(f"{where}step {step}: non-finite parameter values")
+        self.step = step
+        self.client = client
+        self.cohort = cohort
+
+
 class RoundFailure(RuntimeError):
     """A federated round (or phase) could not produce any client update."""

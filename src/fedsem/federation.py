@@ -5,17 +5,23 @@ each sampled client train locally on its visible-labeled samples, then
 average the returned parameters and evaluate the new global model on the
 union of all client test indices. The sampled clients train together, in
 one lockstep :func:`~fedsem.model.train_local` call per round.
+
+A run is a generator over its rounds (:func:`fedavg_run`, and the phase
+runs of :mod:`fedsem.protocol`). :func:`run_lockstep` drives one or many
+runs; stacked runs share each round's ``train_local`` call, and every
+blocking entry point here is the one-run case.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import itertools
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ClientShard, Dataset, _freeze, one_hot
-from .errors import ConfigError, RoundFailure, ShapeError
+from .errors import ConfigError, RoundFailure, ShapeError, TrainingDivergence
 from .metrics import RoundRecord
 from .model import (
     Batch,
@@ -108,43 +114,117 @@ def training_view(shard: ClientShard, dataset: Dataset) -> np.ndarray:
     return shard.train_indices[dataset.label_visible[shard.train_indices]]
 
 
-def _view_batch(dataset: Dataset, indices: np.ndarray) -> Batch:
-    """The samples at ``indices``, gathered once into arrays the batch keeps."""
-    return Batch(
-        inputs=_freeze(dataset.features[indices]),
-        targets=_freeze(one_hot(dataset.labels[indices], dataset.num_classes)),
-    )
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """The clients one run trains in one round, as the run yields them.
 
-
-def client_round(
-    global_params: ModelParams,
-    cohort: Sequence[tuple[ClientShard, np.ndarray]],
-    dataset: Dataset,
-    config: FederationConfig,
-    round_index: int,
-) -> list[ClientUpdate]:
-    """Local training of one round's cohort; pure in all inputs.
-
-    ``cohort`` lists ``(shard, view)`` pairs, ``view`` being the client's
-    :func:`training_view`. The clients' rows are gathered into one batch and
-    trained by one lockstep :func:`train_local` call, each client with its
-    own seed; the updates come back in cohort order.
+    ``clients`` lists ``(shard, view)`` pairs, ``view`` being the client's
+    :func:`training_view` of ``dataset``. Every client starts from
+    ``global_params`` and trains with ``config``'s solver settings and a
+    seed of ``round_index``; ``phase`` names the round in errors.
     """
-    shards, views = zip(*cohort)
-    trained = train_local(
-        global_params,
-        _view_batch(dataset, np.concatenate(views)),
-        epochs=config.local_epochs,
-        batch_size=config.batch_size,
-        lr=config.learning_rate,
-        solver=config.solver,
-        rng_seed=[derive_seed(config.master_seed, round_index, s.client_id) for s in shards],
-        sizes=[v.size for v in views],
+
+    global_params: ModelParams
+    clients: tuple[tuple[ClientShard, np.ndarray], ...]
+    dataset: Dataset
+    config: FederationConfig
+    round_index: int
+    phase: str = "phase1"
+
+
+def _setting(cohort: Cohort) -> tuple:
+    """What cohorts must share to train in one :func:`train_local` call."""
+    fed = cohort.config
+    return (
+        cohort.global_params.layer_dims, fed.local_epochs, fed.batch_size, fed.learning_rate,
+        fed.solver,
     )
-    return [
+
+
+def client_round(cohorts: Sequence[Cohort]) -> list[list[ClientUpdate]]:
+    """Local training of one round's cohorts; pure in all inputs.
+
+    The cohorts must share a :func:`_setting`. All their clients' rows are
+    gathered into one batch and trained by one lockstep :func:`train_local`
+    call, each client from its cohort's global parameters and with the seed
+    ``derive_seed(master_seed, round_index, client_id)`` of its cohort's
+    config and round. The updates come back per cohort, in client order. A
+    divergence re-raises as :class:`TrainingDivergence` naming the client
+    id, the cohort's index, and its phase and round.
+    """
+    clients = [(j, shard, view) for j, c in enumerate(cohorts) for shard, view in c.clients]
+    rows = [np.concatenate([view for _, view in c.clients]) for c in cohorts]
+    fed, classes = cohorts[0].config, cohorts[0].global_params.layer_dims[-1]
+    batch = Batch(
+        inputs=_freeze(np.concatenate([c.dataset.features[r] for c, r in zip(cohorts, rows)])),
+        targets=_freeze(one_hot(
+            np.concatenate([c.dataset.labels[r] for c, r in zip(cohorts, rows)]), classes
+        )),
+    )
+    try:
+        trained = train_local(
+            [cohorts[j].global_params for j, _, _ in clients],
+            batch,
+            epochs=fed.local_epochs,
+            batch_size=fed.batch_size,
+            lr=fed.learning_rate,
+            solver=fed.solver,
+            rng_seed=[
+                derive_seed(cohorts[j].config.master_seed, cohorts[j].round_index, s.client_id)
+                for j, s, _ in clients
+            ],
+            sizes=[v.size for _, _, v in clients],
+        )
+    except TrainingDivergence as exc:
+        j, shard, _ = clients[exc.client]
+        where = f"{cohorts[j].phase}, round {cohorts[j].round_index}, client {shard.client_id}: "
+        raise TrainingDivergence(exc.step, shard.client_id, j, where) from None
+    updates = iter(
         ClientUpdate(client_id=s.client_id, params=p, num_samples=int(v.size))
-        for s, p, v in zip(shards, trained, views)
-    ]
+        for (_, s, v), p in zip(clients, trained)
+    )
+    return [list(itertools.islice(updates, len(c.clients))) for c in cohorts]
+
+
+def run_lockstep(runs: Sequence[Generator]) -> list:
+    """Drive ``runs`` to their ends; returns what each run returns, in run order.
+
+    A run is a generator that yields the :class:`Cohort` of each round it
+    trains and is sent back that cohort's updates. Each tick trains every
+    pending cohort, one :func:`client_round` call per :func:`_setting`, so
+    runs stack while they last and a finished run leaves the stack. Each
+    run's result is bit-identical to driving it alone. The first failure
+    ends every run and propagates; when it came from one run, raised by the
+    run itself or a divergence of its clients, its attribute ``run`` is
+    that run's index.
+    """
+    results = [None] * len(runs)
+    pending: dict[int, Cohort] = {}
+
+    def advance(i: int, updates) -> None:
+        try:
+            pending[i] = runs[i].send(updates)
+        except StopIteration as done:
+            results[i] = done.value
+        except Exception as exc:
+            exc.run = i
+            raise
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        groups: dict[tuple, list[int]] = {}
+        for i, cohort in pending.items():
+            groups.setdefault(_setting(cohort), []).append(i)
+        for members in groups.values():
+            try:
+                updates = client_round([pending.pop(i) for i in members])
+            except TrainingDivergence as exc:
+                exc.run = members[exc.cohort]
+                raise
+            for i, run_updates in zip(members, updates):
+                advance(i, run_updates)
+    return results
 
 
 def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
@@ -184,7 +264,54 @@ def evaluation_batch(shards, dataset: Dataset) -> Batch:
     indices = np.sort(np.concatenate([s.test_indices for s in shards]))
     if indices.size == 0:
         raise ValueError("no test indices; split shards before running rounds")
-    return _view_batch(dataset, indices)
+    return Batch(
+        inputs=_freeze(dataset.features[indices]),
+        targets=_freeze(one_hot(dataset.labels[indices], dataset.num_classes)),
+    )
+
+
+def _rounds(state: ServerState, shards, dataset: Dataset, config: FederationConfig, phase: str,
+            eval_batch: Batch, count: int, stop=None):
+    """Up to ``count`` rounds from ``state`` as a run; returns the last state.
+
+    Each round yields its :class:`Cohort` for training, then averages the
+    updates and scores the new model on ``eval_batch``. ``stop``, if
+    given, sees the history after each round; a true result ends the run.
+    """
+    by_id = {s.client_id: s for s in shards}
+    for _ in range(count):
+        cohort = []
+        for cid in _round_order(config.master_seed, state.round, by_id.keys()):
+            if len(cohort) == config.clients_per_round:
+                break
+            view = training_view(by_id[cid], dataset)
+            if view.size:
+                cohort.append((by_id[cid], view))
+        if not cohort:
+            raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
+        updates = yield Cohort(
+            state.global_params, tuple(cohort), dataset, config, state.round, phase
+        )
+        new_params = aggregate(updates, config.aggregation)
+        participants = tuple(sorted(u.client_id for u in updates))
+        # The driver holds this list until the run yields again; free the client models now.
+        updates.clear()
+        accuracy, mean_loss = evaluate(new_params, eval_batch)
+        record = RoundRecord(
+            round=state.round,
+            phase=phase,
+            test_accuracy=accuracy,
+            test_loss=mean_loss,
+            participant_ids=participants,
+        )
+        state = ServerState(
+            global_params=new_params,
+            round=state.round + 1,
+            history=state.history + (record,),
+        )
+        if stop is not None and stop(state.history):
+            break
+    return state
 
 
 def run_round(
@@ -203,37 +330,34 @@ def run_round(
     participant count whenever enough trainable clients exist, and raising
     :class:`RoundFailure` if none is. ``eval_batch`` scores the new model.
     """
-    by_id = {s.client_id: s for s in shards}
-    cohort = []
-    for cid in _round_order(config.master_seed, state.round, by_id.keys()):
-        if len(cohort) == config.clients_per_round:
-            break
-        view = training_view(by_id[cid], dataset)
-        if view.size:
-            cohort.append((by_id[cid], view))
-    if not cohort:
-        raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
-    updates = client_round(state.global_params, cohort, dataset, config, state.round)
-    new_params = aggregate(updates, config.aggregation)
-    accuracy, mean_loss = evaluate(new_params, eval_batch)
-    record = RoundRecord(
-        round=state.round,
-        phase=phase,
-        test_accuracy=accuracy,
-        test_loss=mean_loss,
-        participant_ids=tuple(sorted(u.client_id for u in updates)),
-    )
-    return ServerState(
-        global_params=new_params,
-        round=state.round + 1,
-        history=state.history + (record,),
-    )
+    return run_lockstep([_rounds(state, shards, dataset, config, phase, eval_batch, 1)])[0]
 
 
 def initial_params(config: FederationConfig, dataset: Dataset) -> ModelParams:
     """Seeded global model sized to the dataset and configured hidden layers."""
     layer_dims = (dataset.dim, *config.hidden_dims, dataset.num_classes)
     return init_params(layer_dims, seed=config.master_seed)
+
+
+def fedavg_run(
+    config: FederationConfig,
+    shards,
+    dataset: Dataset,
+    *,
+    rounds: int | None = None,
+    start_params: ModelParams | None = None,
+    start_round: int = 0,
+    phase: str = "phase1",
+    stop: Callable[[tuple[RoundRecord, ...]], bool] | None = None,
+):
+    """:func:`run_fedavg` as a run for :func:`run_lockstep`; returns the final state."""
+    n_rounds = config.rounds if rounds is None else rounds
+    if n_rounds < 0:
+        raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
+    params = initial_params(config, dataset) if start_params is None else start_params
+    state = ServerState(global_params=params, round=start_round, history=())
+    eval_batch = evaluation_batch(shards, dataset) if n_rounds else None
+    return (yield from _rounds(state, shards, dataset, config, phase, eval_batch, n_rounds, stop))
 
 
 def run_fedavg(
@@ -253,14 +377,8 @@ def run_fedavg(
     round index ``start_round``. ``stop``, if given, sees this call's
     history after each round; a true result ends the loop early.
     """
-    n_rounds = config.rounds if rounds is None else rounds
-    if n_rounds < 0:
-        raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
-    params = initial_params(config, dataset) if start_params is None else start_params
-    state = ServerState(global_params=params, round=start_round, history=())
-    eval_batch = evaluation_batch(shards, dataset) if n_rounds else None
-    for _ in range(n_rounds):
-        state = run_round(state, shards, dataset, config, phase, eval_batch=eval_batch)
-        if stop is not None and stop(state.history):
-            break
-    return state
+    run = fedavg_run(
+        config, shards, dataset, rounds=rounds, start_params=start_params,
+        start_round=start_round, phase=phase, stop=stop,
+    )
+    return run_lockstep([run])[0]

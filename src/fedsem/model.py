@@ -9,8 +9,9 @@ caller's arrays. Kernels work in place only in buffers they allocate per call;
 Values are validated where they enter and leave the API, not per step:
 :func:`train_local` checks only that its private vectors stay finite.
 
-:func:`train_local` trains a cohort, the clients of one federated round,
-in lockstep: each step runs the forward, gradient and solver kernels once
+:func:`train_local` trains a cohort, the clients of one federated round
+or of several runs' rounds, in lockstep: each client has its own start
+model, and each step runs the forward, gradient and solver kernels once
 over all clients' stacked mini-batches and ``(C, P)`` parameter arrays,
 with results bit-identical to training each client alone.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import _frozen
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, TrainingDivergence
 
 PROB_FLOOR = 1e-12
 SOLVERS = ("sgd", "adam")
@@ -331,7 +332,7 @@ def optimizer_step(
 
 
 def train_local(
-    params: ModelParams,
+    params: ModelParams | Sequence[ModelParams],
     samples: Batch,
     epochs: int,
     batch_size: int,
@@ -346,29 +347,36 @@ def train_local(
     ``rng_seed ^ epoch_index``; a final short batch is trained on rather
     than dropped. The input ``params`` object is never modified. A zero
     learning rate is the identity (every step would subtract zero).
-    Training raises ``ValueError``, without numpy warnings, at the first
-    step that leaves a non-finite parameter.
+    Training raises :class:`TrainingDivergence`, a ``ValueError``, without
+    numpy warnings, at the first step that leaves a non-finite parameter.
 
     Cohort form: with ``sizes``, ``samples`` holds the rows of C clients
     back to back, ``sizes[i]`` rows for client ``i``, and ``rng_seed`` holds
-    one seed per client. Each client trains from ``params`` exactly as a
-    call with its own rows and seed would, and the results come back as a
-    tuple in client order. The clients train in lockstep: parameters,
-    gradients and adam moments are ``(C, P)`` arrays, and each step runs the
-    kernels once over the stacked ``(C, rows, d)`` mini-batches. Clients are
+    one seed per client. ``params`` is the model every client starts from,
+    or a sequence of C start models, one per client. Each client trains
+    from its start exactly as a call with its own model, rows and seed
+    would, and the results come back as a tuple in client order. The
+    clients train in lockstep: parameters, gradients and adam moments are
+    ``(C, P)`` arrays, and each step runs the kernels once over the
+    stacked ``(C, rows, d)`` mini-batches. Clients are
     sorted by size inside the call, so those still training are a prefix of
     the stack; at each step every contiguous run of clients whose batches
     have equal rows is one kernel call on slices of the ``(C, P)`` arrays. A
-    diverging cohort reports its earliest bad step. One client is the same
-    code with ``C = 1``.
+    diverging cohort reports its earliest bad step and the first client
+    that diverged at it. One client is the same code with ``C = 1``.
     """
     cohort = sizes is not None
     sizes = [int(s) for s in sizes] if cohort else [len(samples)]
     seeds = [int(s) for s in rng_seed] if cohort else [rng_seed]
+    starts = [params] * len(sizes) if isinstance(params, ModelParams) else list(params)
     if not sizes or min(sizes) < 1:
         raise ValueError("every client needs at least one training sample")
     if len(seeds) != len(sizes):
         raise ConfigError(f"need one seed per client: {len(seeds)} seeds, {len(sizes)} clients")
+    if len(starts) != len(sizes):
+        raise ConfigError(f"need one start model per client: {len(starts)} for {len(sizes)}")
+    if any(p.layer_dims != starts[0].layer_dims for p in starts):
+        raise ShapeError("every start model of a cohort needs the same layer_dims")
     if sum(sizes) != len(samples):
         raise ShapeError(f"client sizes sum to {sum(sizes)}, but the batch has {len(samples)} rows")
     if epochs < 1:
@@ -379,16 +387,16 @@ def train_local(
         raise ConfigError(f"learning rate must be non-negative, got {lr}")
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    inputs = _check_batch(params, samples)
-    trained = [params] * len(sizes) if lr == 0 else _lockstep(
-        params, inputs, samples.targets, sizes, seeds, epochs, batch_size, lr, solver
+    inputs = _check_batch(starts[0], samples)
+    trained = starts if lr == 0 else _lockstep(
+        starts, inputs, samples.targets, sizes, seeds, epochs, batch_size, lr, solver
     )
     return tuple(trained) if cohort else trained[0]
 
 
-def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, solver) -> list:
+def _lockstep(models, inputs, targets, sizes, seeds, epochs, batch_size, lr, solver) -> list:
     """The trained parameters of each client of :func:`train_local`'s cohort, in client order."""
-    dims, count = params.layer_dims, len(sizes)
+    dims, count = models[0].layer_dims, len(sizes)
     # Longest schedule first: the clients still training at any step are a prefix.
     rank = sorted(range(count), key=lambda i: -sizes[i])
     n = np.array([sizes[i] for i in rank])
@@ -410,8 +418,7 @@ def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
         if i + 1 < live[k]:
             runs[k].append(int(i) + 1)
 
-    flat = np.empty((count, params.num_params))
-    flat[...] = params.vector
+    flat = np.stack([models[c].vector for c in rank])
     grad = np.empty_like(flat)
     layers, grads = _views(dims, flat), _views(dims, grad)
     moments = (np.zeros_like(flat), np.zeros_like(flat)) if solver == "adam" else None
@@ -434,7 +441,8 @@ def _lockstep(params, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
             live_moments = None if moments is None else tuple(m[:alive] for m in moments)
             _step(flat[:alive], grad[:alive], live_moments, k + 1, lr, scratch[:, :alive])
             if not np.isfinite(flat[:alive]).all():
-                raise ValueError(f"step {k + 1}: non-finite parameter values")
+                bad = np.flatnonzero(~np.isfinite(flat[:alive]).all(axis=1))
+                raise TrainingDivergence(k + 1, min(rank[i] for i in bad))
     # The results are rows of ``flat``: no copy, and no hole left where it was.
     trained = [None] * count
     for i, client in enumerate(rank):

@@ -6,6 +6,9 @@ prediction (pseudo-labeling, optionally gated by a confidence
 threshold), and phase 2 continues federated training over the completed
 data, warm-started from the phase-1 model. The headline metric is the
 relative accuracy gain of phase 2 over phase 1.
+
+Each phase, and the whole experiment (:func:`fedsem_run`), is a run for
+:func:`~fedsem.federation.run_lockstep`; the blocking functions drive one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, _freeze
 from .errors import ConfigError, ShapeError
-from .federation import FederationConfig, run_fedavg
+from .federation import FederationConfig, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
 from .model import ModelParams, forward
 
@@ -88,7 +91,7 @@ def converged(history, window: int, epsilon: float) -> bool:
 
 
 def _stop_rule(config: FedSemConfig):
-    """The early-stop test run_fedavg applies after each round of a phase."""
+    """The early-stop test a phase's rounds apply after each round."""
     if config.phase_switch == "at_half_rounds":
         return None
     return lambda history: converged(
@@ -108,9 +111,14 @@ def run_phase1(
     ``on_convergence`` trains until :func:`converged` holds, within
     ``rounds - 1`` rounds so that phase 2 keeps at least one.
     """
+    return run_lockstep([_phase1(config, shards, dataset)])[0]
+
+
+def _phase1(config: FedSemConfig, shards, dataset: Dataset):
+    """:func:`run_phase1` as a run."""
     fed = config.federation
     budget = fed.rounds // 2 if config.phase_switch == "at_half_rounds" else fed.rounds - 1
-    state = run_fedavg(
+    state = yield from fedavg_run(
         fed,
         shards,
         replace(dataset, label_visible=_freeze(dataset.label_visible & ~dataset.pseudo_mask)),
@@ -170,11 +178,17 @@ def run_phase2(
     it stops earlier once :func:`converged` holds over phase 2's own
     history.
     """
+    return run_lockstep([_phase2(model_phase1, dataset, config, shards, start_round)])[0]
+
+
+def _phase2(model_phase1: ModelParams, dataset: Dataset, config: FedSemConfig, shards,
+            start_round: int):
+    """:func:`run_phase2` as a run."""
     fed = config.federation
     budget = fed.rounds - start_round
     if budget < 1:
         raise ConfigError(f"no phase-2 round budget left after {start_round} rounds")
-    state = run_fedavg(
+    state = yield from fedavg_run(
         fed,
         shards,
         dataset,
@@ -189,7 +203,12 @@ def run_phase2(
 
 def run_fedsem(config: FedSemConfig, shards, dataset: Dataset) -> ExperimentResult:
     """Full two-phase experiment: phase 1, pseudo-labeling, phase 2."""
-    model_phase1, history1 = run_phase1(config, shards, dataset)
+    return run_lockstep([fedsem_run(config, shards, dataset)])[0]
+
+
+def fedsem_run(config: FedSemConfig, shards, dataset: Dataset):
+    """:func:`run_fedsem` as a run for :func:`~fedsem.federation.run_lockstep`."""
+    model_phase1, history1 = yield from _phase1(config, shards, dataset)
     labeled = pseudo_label(model_phase1, dataset, config.pseudo_label_threshold)
 
     new_pseudo = labeled.pseudo_mask & ~dataset.pseudo_mask
@@ -200,7 +219,7 @@ def run_fedsem(config: FedSemConfig, shards, dataset: Dataset) -> ExperimentResu
     else:
         pseudo_accuracy = None
 
-    model_phase2, history2 = run_phase2(
+    model_phase2, history2 = yield from _phase2(
         model_phase1, labeled, config, shards, start_round=len(history1)
     )
     accuracy_phase1 = max(r.test_accuracy for r in history1)

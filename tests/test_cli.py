@@ -177,9 +177,10 @@ class TestRun:
             "--override", "federation.solver=sgd",
         ])
         assert code == 1
-        # The earliest step at which any client of the round diverges.
+        # The phase, round and client of the earliest step at which any client diverges.
         assert capsys.readouterr().err == (
-            "error during training: step 17: non-finite parameter values\n"
+            "error during training: phase1, round 5, client 10: "
+            "step 17: non-finite parameter values\n"
         )
 
     def test_outputs_confined_to_directory(self, write_config, tmp_path, monkeypatch):
@@ -296,6 +297,28 @@ class TestSweep:
         first = (tmp_path / "sweep-out" / "sweep.csv").read_bytes()
         main(args)
         assert (tmp_path / "sweep-out" / "sweep.csv").read_bytes() == first
+
+    def test_failing_cell_writes_no_cell_of_its_group(self, tmp_path, capsys):
+        # Canonical clients train five per round, so cells train in lockstep pairs:
+        # (seed-42, seed-2), then (seed-4, seed-3). Only seed-3 diverges.
+        overrides = [
+            "--override", "federation.learning_rate=20", "--override", "federation.solver=sgd",
+            "--override", "federation.rounds=4",
+        ]
+        out = tmp_path / "sweep-out"
+        code = main([
+            "sweep", "--config", str(CANONICAL_INI), "--out", str(out), "--quiet", *overrides,
+            "--axis", "seed=42,2,4,3",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error during cell seed-3: phase2, round 3, client 5: "
+            "step 82: non-finite parameter values\n"
+        )
+        assert sorted(p.name for p in (out / "cells").iterdir()) == ["seed-2", "seed-42"]
+        assert not (out / "sweep.csv").exists()
+        alone = ["run", "--config", str(CANONICAL_INI), "--quiet", *overrides, "--seed", "4"]
+        assert main([*alone, "--out", str(tmp_path / "seed-4")]) == 0
 
     def test_no_axes_exit_2(self, write_config, capsys):
         assert main(["sweep", "--config", str(write_config()), "--quiet"]) == 2

@@ -1,6 +1,8 @@
 """Dataset generation, CSV ingestion, partitioning, splitting, masking."""
 
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +377,26 @@ class TestDatasetArrays:
         for ds in built:
             assert ds.features.tobytes() == expected.tobytes()
             assert not ds.features.flags.writeable
+
+    def test_caller_features_with_nan_rejected(self):
+        ds = fs.generate_synthetic(60, 3, 4, 3.0, seed=1)
+        features = np.array(ds.features)
+        features[5, 2] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            dataclasses.replace(ds, features=features)
+        with pytest.raises(ConfigError, match="non-finite"):
+            fs.Dataset(features, ds.labels, ds.label_visible, 3)
+
+    def test_replace_does_not_rescan_validated_features(self):
+        ds = fs.generate_synthetic(100_000, 10, 32, 4.0, seed=0)
+        tracemalloc.start()
+        try:
+            dataclasses.replace(ds, label_visible=ds.label_visible)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A finiteness scan allocates one boolean per feature: 3.2 MB here.
+        assert peak < ds.n_samples * ds.dim
 
 
 class TestOneHot:

@@ -107,8 +107,9 @@ class TestSampleClients:
         assert len(set(round_participants(config, masked, shards, rounds=6))) > 1
 
 
-def cohort_of(shards, dataset):
-    return [(s, fs.training_view(s, dataset)) for s in shards]
+def cohort_of(shards, dataset, params, config=None, round_index=0):
+    clients = tuple((s, fs.training_view(s, dataset)) for s in shards)
+    return fs.Cohort(params, clients, dataset, config or tiny_federation(), round_index)
 
 
 class TestClientRound:
@@ -131,7 +132,7 @@ class TestClientRound:
         masked, shards = tiny_pipeline()
         params = fs.init_params((4, 6, 3), seed=2)
         before = params.flatten().tobytes()
-        fs.client_round(params, cohort_of(shards[1:2], masked), masked, tiny_federation(), 0)
+        fs.client_round([cohort_of(shards[1:2], masked, params)])
         assert params.flatten().tobytes() == before
 
     def test_skip_when_no_visible_labels(self):
@@ -140,17 +141,12 @@ class TestClientRound:
         hidden[shards[0].train_indices] = False
         blind = dataclasses.replace(masked, label_visible=hidden)
         with pytest.raises(ValueError, match="at least one training sample"):
-            fs.client_round(
-                fs.init_params((4, 6, 3), seed=0), cohort_of(shards[:1], blind), blind,
-                tiny_federation(), 0,
-            )
+            fs.client_round([cohort_of(shards[:1], blind, fs.init_params((4, 6, 3), seed=0))])
 
     def test_uses_only_visible_samples(self):
         masked, shards = tiny_pipeline(labeled_fraction=0.5)
-        (update,) = fs.client_round(
-            fs.init_params((4, 6, 3), seed=0), cohort_of(shards[:1], masked), masked,
-            tiny_federation(), 0,
-        )
+        params = fs.init_params((4, 6, 3), seed=0)
+        ((update,),) = fs.client_round([cohort_of(shards[:1], masked, params)])
         visible = int(masked.label_visible[shards[0].train_indices].sum())
         assert update.num_samples == visible
 
@@ -159,12 +155,38 @@ class TestClientRound:
         params = fs.init_params((4, 6, 3), seed=3)
         config = tiny_federation(solver="adam", batch_size=3)
         order = [shards[4], shards[1], shards[5], shards[0]]
-        together = fs.client_round(params, cohort_of(order, masked), masked, config, 2)
+        (together,) = fs.client_round([cohort_of(order, masked, params, config, 2)])
         assert [u.client_id for u in together] == [4, 1, 5, 0]
         for update, shard in zip(together, order):
-            (alone,) = fs.client_round(params, cohort_of([shard], masked), masked, config, 2)
+            ((alone,),) = fs.client_round([cohort_of([shard], masked, params, config, 2)])
             assert update.num_samples == alone.num_samples
             assert params_equal(update.params, alone.params)
+
+    def test_divergence_names_client_and_cohort(self):
+        masked, shards = tiny_pipeline()
+        config = tiny_federation(learning_rate=1e3, local_epochs=30, batch_size=2)
+        cohorts = [
+            cohort_of(shards[3:], masked, fs.init_params((4, 6, 3), seed=1), config, 3),
+            cohort_of(shards[:3], masked, fs.init_params((4, 6, 3), seed=0), config, 0),
+        ]
+        alone = []
+        for cohort in cohorts:
+            with pytest.raises(fs.TrainingDivergence) as caught:
+                fs.client_round([cohort])
+            alone.append(caught.value)
+        with pytest.raises(fs.TrainingDivergence) as caught:
+            fs.client_round(cohorts)
+        # The earliest step wins (here the second cohort's); on a tie, the client stacked first.
+        first = 0 if alone[0].step <= alone[1].step else 1
+        assert first == 1
+        err = caught.value
+        assert (err.step, err.client, err.cohort) == (alone[first].step, alone[first].client, first)
+        round_index = cohorts[first].round_index
+        assert str(err) == (
+            f"phase1, round {round_index}, client {err.client}: "
+            f"step {err.step}: non-finite parameter values"
+        )
+        assert err.client in [s.client_id for s, _ in cohorts[first].clients]
 
 
 def scalar_update(client_id, value, num_samples):

@@ -445,13 +445,16 @@ class TestCohortMatchesPerClient:
         lr=st.sampled_from([0.01, 0.1, 0.5]),
         solver=st.sampled_from(fs.SOLVERS),
         seed=st.integers(0, 2**16),
+        shared_start=st.booleans(),
     )
     def test_bit_identical(
-        self, hidden, dim, classes, clients, batch_size, epochs, lr, solver, seed
+        self, hidden, dim, classes, clients, batch_size, epochs, lr, solver, seed, shared_start
     ):
         # Random sizes give ragged cohorts: clients leave at different steps, and
         # their short last batches differ in length.
-        params = fs.init_params((dim, *hidden, classes), seed=seed)
+        dims = (dim, *hidden, classes)
+        starts = [fs.init_params(dims, seed=seed + i) for i in range(len(clients))]
+        params = starts[0] if shared_start else starts
         rng = np.random.default_rng(seed)
         batches = [
             fs.Batch(rng.normal(size=(n, dim)), fs.one_hot(rng.integers(0, classes, n), classes))
@@ -466,8 +469,9 @@ class TestCohortMatchesPerClient:
             params, cohort, epochs, batch_size, lr, solver, rng_seed=seeds, sizes=sizes
         )
         assert isinstance(trained, tuple) and len(trained) == len(clients)
-        for batch, client_seed, result in zip(batches, seeds, trained):
-            alone = fs.train_local(params, batch, epochs, batch_size, lr, solver, client_seed)
+        for i, (batch, client_seed, result) in enumerate(zip(batches, seeds, trained)):
+            start = starts[0] if shared_start else starts[i]
+            alone = fs.train_local(start, batch, epochs, batch_size, lr, solver, client_seed)
             assert result.flatten().tobytes() == alone.flatten().tobytes()
 
     def test_divergence_names_earliest_step(self):
@@ -493,6 +497,19 @@ class TestCohortMatchesPerClient:
                 params, fs.Batch(inputs, targets), rng_seed=seeds, sizes=sizes, **kwargs
             ))
         assert together == min(diverged)
+        with pytest.raises(fs.TrainingDivergence) as caught:
+            fs.train_local(params, fs.Batch(inputs, targets), rng_seed=seeds, sizes=sizes, **kwargs)
+        assert caught.value.client == alone.index(min(diverged))
+
+    def test_start_models_checked(self):
+        params, batch = random_model_and_batch(26, batch_rows=6)
+        with pytest.raises(ConfigError, match="start model"):
+            fs.train_local([params], batch, 1, 4, 0.1, rng_seed=[1, 2], sizes=[2, 4])
+        with pytest.raises(ShapeError, match="layer_dims"):
+            fs.train_local(
+                [params, fs.init_params((5, 3), seed=0)], batch, 1, 4, 0.1,
+                rng_seed=[1, 2], sizes=[2, 4],
+            )
 
     @pytest.mark.parametrize(
         "sizes, seeds, error",
