@@ -28,6 +28,7 @@ from .data import split_train_test, write_text
 from .errors import ConfigError
 from .federation import run_fedavg, run_lockstep
 from .metrics import export_history, render_summary
+from .model import STACK_CLIENTS
 from .protocol import fedsem_run, run_fedsem
 
 TRAIN_RATIO = 0.8
@@ -38,8 +39,6 @@ SWEEP_AXES = {
     "seed": ("federation", "master_seed"),
 }
 SWEEP_HEADER = "labeled_percent,rounds,epochs,seed,accuracy_phase1,accuracy_phase2,gain"
-# Clients per lockstep train_local call past which stacking more saves no time.
-STACK_CLIENTS = 10
 
 
 def resolve_output_dir(configured: str | None) -> Path:

@@ -185,7 +185,12 @@ def generate_synthetic(
     centers = rng.standard_normal((num_classes, dim))
     centers *= class_separation / np.linalg.norm(centers, axis=1, keepdims=True)
     labels = np.arange(n_samples, dtype=np.int64) % num_classes
-    features = centers[labels] + rng.standard_normal((n_samples, dim))
+    # The noise, plus each row's center in place: labels cycle through the classes.
+    features = rng.standard_normal((n_samples, dim))
+    whole = n_samples - n_samples % num_classes
+    cycles = features[:whole].reshape(-1, num_classes, dim)
+    cycles += centers
+    features[whole:] += centers[: n_samples - whole]
     return Dataset(
         features=_freeze(features),
         labels=_freeze(labels),
@@ -321,7 +326,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
             sizes[needy] += 1
 
     return [
-        ClientShard(client_id=i, train_indices=np.sort(alloc))
+        ClientShard(client_id=i, train_indices=_freeze(np.sort(alloc)))
         for i, alloc in enumerate(allocations)
     ]
 
@@ -350,8 +355,8 @@ def split_train_test(
         out.append(
             ClientShard(
                 client_id=shard.client_id,
-                train_indices=np.sort(order[n_test:]),
-                test_indices=np.sort(order[:n_test]),
+                train_indices=_freeze(np.sort(order[n_test:])),
+                test_indices=_freeze(np.sort(order[:n_test])),
             )
         )
     return out

@@ -11,9 +11,10 @@ Values are validated where they enter and leave the API, not per step:
 
 :func:`train_local` trains a cohort, the clients of one federated round
 or of several runs' rounds, in lockstep: each client has its own start
-model, and each step runs the forward, gradient and solver kernels once
-over all clients' stacked mini-batches and ``(C, P)`` parameter arrays,
-with results bit-identical to training each client alone.
+model, and each step runs the forward, gradient and solver kernels over
+chunks of up to :data:`STACK_CLIENTS` clients' stacked mini-batches and
+``(C, P)`` parameter rows, with results bit-identical to training each
+client alone.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ SOLVERS = ("sgd", "adam")
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPSILON = 1e-8
 BLOCK_ROWS = 4096  # fewest rows per forward block; see _block_rows
+# Clients per lockstep kernel call past which stacking more saves no time.
+STACK_CLIENTS = 10
 
 
 def _check_dims(layer_dims) -> tuple[int, ...]:
@@ -219,21 +222,32 @@ def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
     return h
 
 
-def forward(params: ModelParams, inputs) -> np.ndarray:
-    """Class probabilities, one softmax row per input row.
+def forward(params: ModelParams, inputs, rows=None) -> np.ndarray:
+    """Class probabilities, one softmax row per input row, or per entry of ``rows``.
 
+    ``rows``, a 1-d integer index array, selects input rows: the result equals
+    ``forward(params, inputs[rows])`` without copying the selected rows at once.
     The layers run over blocks of :func:`_block_rows` rows in one buffer per
-    hidden layer. The last block ends at the last row, overlapping the one
-    before it, so every gemm has the same row count.
+    hidden layer, and each block gathers its own rows. The last block ends at
+    the last row, overlapping the one before it, so every gemm has the same
+    row count.
     """
     x = _check_inputs(params, inputs)
-    dims, n = params.layer_dims, len(x)
-    rows = min(n, _block_rows(dims))
-    hidden = [np.empty((rows, d)) for d in dims[1:-1]]
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
+            raise ShapeError(f"rows must be 1-d integer indices, got {rows.dtype} {rows.shape}")
+    dims, n = params.layer_dims, len(x) if rows is None else len(rows)
+    size = min(n, _block_rows(dims))
+    hidden = [np.empty((size, d)) for d in dims[1:-1]]
     probs = np.empty((n, dims[-1]))
-    for start in range(0, n, rows or 1):
-        block = slice(min(start, n - rows), min(start, n - rows) + rows)
-        _forward((params.weights, params.biases), x[block], [*hidden, probs[block]])
+    for start in range(0, n, size or 1):
+        block = slice(min(start, n - size), min(start, n - size) + size)
+        _forward(
+            (params.weights, params.biases),
+            x[block] if rows is None else x[rows[block]],
+            [*hidden, probs[block]],
+        )
     return probs
 
 
@@ -357,11 +371,13 @@ def train_local(
     from its start exactly as a call with its own model, rows and seed
     would, and the results come back as a tuple in client order. The
     clients train in lockstep: parameters, gradients and adam moments are
-    ``(C, P)`` arrays, and each step runs the kernels once over the
-    stacked ``(C, rows, d)`` mini-batches. Clients are
+    ``(C, P)`` arrays, and each step runs the kernels over the stacked
+    ``(C, rows, d)`` mini-batches. Clients are
     sorted by size inside the call, so those still training are a prefix of
-    the stack; at each step every contiguous run of clients whose batches
-    have equal rows is one kernel call on slices of the ``(C, P)`` arrays. A
+    the stack. The stack is cut into chunks of :data:`STACK_CLIENTS`
+    clients, and each step runs the gradient once per contiguous run of a
+    chunk's clients whose batches have equal rows, then steps the chunk; the
+    gradient, solver scratch and layer buffers hold one chunk. A
     diverging cohort reports its earliest bad step and the first client
     that diverged at it. One client is the same code with ``C = 1``.
     """
@@ -413,33 +429,42 @@ def _lockstep(models, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
     rows = np.where(epoch < epochs, np.minimum(batch_size, n[:, None] - within), 0)
     starts = epochs * np.cumsum([0, *n[:-1]])[:, None] + epoch * n[:, None] + within
     live = np.count_nonzero(rows, axis=0).tolist()
-    runs = [[0] for _ in tick]  # first client of each run of equal batch rows
-    for i, k in zip(*np.nonzero(rows[1:] != rows[:-1])):
-        if i + 1 < live[k]:
-            runs[k].append(int(i) + 1)
+    # Each step's pieces, by first client: runs of clients with equal batch rows, cut into
+    # the chunks [0, S), [S, 2S), ... of S = STACK_CLIENTS clients. Each is one kernel call.
+    cut = np.ones(rows.shape, dtype=bool)
+    cut[1:] = rows[1:] != rows[:-1]
+    cut[::STACK_CLIENTS] = True
+    cut &= rows > 0
+    runs = [[] for _ in tick]
+    for i, k in zip(*(a.tolist() for a in np.nonzero(cut))):
+        runs[k].append(i)
 
     flat = np.stack([models[c].vector for c in rank])
-    grad = np.empty_like(flat)
+    # Gradients and solver scratch hold one chunk; adam's moments hold every client.
+    chunk = min(count, STACK_CLIENTS)
+    grad = np.empty((chunk, flat.shape[1]))
     layers, grads = _views(dims, flat), _views(dims, grad)
     moments = (np.zeros_like(flat), np.zeros_like(flat)) if solver == "adam" else None
     # Sgd scales the gradient in place; adam needs two arrays of its own.
-    scratch = grad[None] if moments is None else np.empty((2, *flat.shape))
-    # One buffer per layer, big enough for the widest step; each run views its front.
+    scratch = grad[None] if moments is None else np.empty((2, *grad.shape))
+    # One buffer per layer, big enough for the widest chunk; each piece views its front.
     widest = min(batch_size, int(n[0]))
-    work = [np.empty(count * widest * d) for d in dims[1:]]
+    work = [np.empty(chunk * widest * d) for d in dims[1:]]
     arange = np.arange(widest)
     # A diverging step is reported by the finiteness check, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (alive, edges) in enumerate(zip(live, runs)):
             for a, b in zip(edges, [*edges[1:], alive]):
-                r = rows[a, k]
+                r, c = rows[a, k], a - a % STACK_CLIENTS  # c: the chunk's first client
                 picked = order[starts[a:b, k, None] + arange[:r]]
                 outs = [w[: (b - a) * r * d].reshape(b - a, r, d) for w, d in zip(work, dims[1:])]
                 _gradient(
-                    _slice(layers, a, b), inputs[picked], targets[picked], _slice(grads, a, b), outs
+                    _slice(layers, a, b), inputs[picked], targets[picked],
+                    _slice(grads, a - c, b - c), outs,
                 )
-            live_moments = None if moments is None else tuple(m[:alive] for m in moments)
-            _step(flat[:alive], grad[:alive], live_moments, k + 1, lr, scratch[:, :alive])
+                if b == alive or b % STACK_CLIENTS == 0:  # the chunk's last piece: step it
+                    step_moments = None if moments is None else tuple(m[c:b] for m in moments)
+                    _step(flat[c:b], grad[: b - c], step_moments, k + 1, lr, scratch[:, : b - c])
             if not np.isfinite(flat[:alive]).all():
                 bad = np.flatnonzero(~np.isfinite(flat[:alive]).all(axis=1))
                 raise TrainingDivergence(k + 1, min(rank[i] for i in bad))

@@ -149,7 +149,7 @@ def pseudo_label(
             f"{model_phase1.layer_dims[-1]}"
         )
     hidden = np.flatnonzero(~dataset.label_visible)
-    probs = forward(model_phase1, dataset.features[hidden])
+    probs = forward(model_phase1, dataset.features, hidden)
     confident = probs.max(axis=1) >= threshold
     filled = hidden[confident]
 

@@ -41,6 +41,27 @@ class TestGenerateSynthetic:
         assert ds.label_visible.all()
         assert not ds.pseudo_mask.any()
 
+    @pytest.mark.parametrize("n", [100, 103])
+    def test_equals_centers_plus_noise(self, n):
+        ds = fs.generate_synthetic(n, 4, 8, 3.0, seed=5)
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal((4, 8))
+        centers *= 3.0 / np.linalg.norm(centers, axis=1, keepdims=True)
+        expected = centers[np.arange(n) % 4] + rng.standard_normal((n, 8))
+        assert ds.features.tobytes() == expected.tobytes()
+
+    def test_memory_is_one_feature_matrix(self):
+        # centers[labels] + noise holds two feature-sized arrays at once. A first
+        # call imports numpy modules lazily; tracing starts after it.
+        fs.generate_synthetic(10, 2, 2, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            ds = fs.generate_synthetic(20_003, 10, 32, 4.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.features.nbytes
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -284,6 +305,22 @@ class TestSplitTrainTest:
         a = fs.split_train_test(shards, seed=4)[0]
         b = fs.split_train_test(shards, seed=4)[0]
         assert np.array_equal(a.test_indices, b.test_indices)
+
+    def test_shards_keep_the_sorted_indices(self, monkeypatch):
+        # A shard holds the index arrays it was built from, not copies of them.
+        built, real = [], fs.data.ClientShard
+
+        def spy(**fields):
+            built.append((real(**fields), fields))
+            return built[-1][0]
+
+        monkeypatch.setattr(fs.data, "ClientShard", spy)
+        ds = fs.generate_synthetic(40, 4, 4, 2.0, seed=0)
+        fs.split_train_test(fs.partition(ds, fs.PartitionSpec("iid", num_clients=3)), seed=1)
+        assert len(built) == 6
+        for shard, fields in built:
+            for key in fields.keys() - {"client_id"}:
+                assert getattr(shard, key) is fields[key]
 
 
 class TestMaskLabels:

@@ -7,11 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fedsem as fs
 from fedsem.errors import ConfigError, ShapeError
-from fedsem.model import _block_rows
+from fedsem.model import STACK_CLIENTS, _block_rows
 
 from conftest import finite_difference_gradient, params_equal, random_model_and_batch
 
@@ -438,7 +438,7 @@ class TestCohortMatchesPerClient:
         dim=st.integers(1, 5),
         classes=st.integers(2, 4),
         clients=st.lists(
-            st.tuples(st.integers(1, 24), st.integers(0, 2**16)), min_size=1, max_size=6
+            st.tuples(st.integers(1, 24), st.integers(0, 2**16)), min_size=1, max_size=24
         ),
         batch_size=st.integers(1, 10),
         epochs=st.integers(1, 3),
@@ -447,11 +447,16 @@ class TestCohortMatchesPerClient:
         seed=st.integers(0, 2**16),
         shared_start=st.booleans(),
     )
+    @example(
+        hidden=[3], dim=2, classes=3, clients=[(9 + i % 5, i) for i in range(23)], batch_size=4,
+        epochs=2, lr=0.1, solver="adam", seed=5, shared_start=False,
+    )
     def test_bit_identical(
         self, hidden, dim, classes, clients, batch_size, epochs, lr, solver, seed, shared_start
     ):
         # Random sizes give ragged cohorts: clients leave at different steps, and
-        # their short last batches differ in length.
+        # their short last batches differ in length. Past STACK_CLIENTS clients,
+        # chunks cut runs of equal batch rows.
         dims = (dim, *hidden, classes)
         starts = [fs.init_params(dims, seed=seed + i) for i in range(len(clients))]
         params = starts[0] if shared_start else starts
@@ -474,14 +479,22 @@ class TestCohortMatchesPerClient:
             alone = fs.train_local(start, batch, epochs, batch_size, lr, solver, client_seed)
             assert result.flatten().tobytes() == alone.flatten().tobytes()
 
-    def test_divergence_names_earliest_step(self):
+    def divergence_chunk(self, sizes, loud=None):
+        """Check that a diverging cohort names the earliest step and client; return its chunk.
+
+        Client ``loud``'s inputs are 30 times larger than the others'. The chunk
+        is the earliest diverging client's, in the cohort's size order.
+        """
         params = fs.init_params([5, 4, 3], seed=7)
-        sizes, seeds = [12, 16, 12], [1, 2, 3]
+        seeds = list(range(1, len(sizes) + 1))
+        bounds = np.cumsum([0, *sizes])
+        scale = np.ones(sum(sizes))
+        if loud is not None:
+            scale[bounds[loud] : bounds[loud + 1]] = 30.0
         rng = np.random.default_rng(1)
-        inputs = 3.0 * rng.normal(size=(sum(sizes), 5))
+        inputs = 3.0 * scale[:, None] * rng.normal(size=(sum(sizes), 5))
         targets = fs.one_hot(rng.integers(0, 3, sum(sizes)), 3)
         kwargs = dict(epochs=50, batch_size=4, lr=1e3, solver="sgd")
-        bounds = np.cumsum([0, *sizes])
         alone = [
             divergence_step(lambda a=a, b=b, s=s: fs.train_local(
                 params, fs.Batch(inputs[a:b], targets[a:b]), rng_seed=s, **kwargs
@@ -500,6 +513,29 @@ class TestCohortMatchesPerClient:
         with pytest.raises(fs.TrainingDivergence) as caught:
             fs.train_local(params, fs.Batch(inputs, targets), rng_seed=seeds, sizes=sizes, **kwargs)
         assert caught.value.client == alone.index(min(diverged))
+        by_size = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+        return by_size.index(caught.value.client) // STACK_CLIENTS
+
+    def test_divergence_names_earliest_step(self):
+        assert self.divergence_chunk([12, 16, 12]) == 0
+
+    def test_divergence_in_a_later_chunk_names_earliest_step(self):
+        # Client 3 is the smallest, so it sits last in the size order, in the second chunk.
+        sizes = [16, 15, 14, 6, 16, 15, 14, 13, 16, 15, 14, 13, 12, 16]
+        assert self.divergence_chunk(sizes, loud=3) == 1
+
+    def test_memory_bounded_by_chunk(self):
+        # Cohort-wide gradient and layer buffers would add 10 MB to the 5 MB of results.
+        params = fs.init_params((32, 128, 64, 10), seed=0)
+        rng = np.random.default_rng(0)
+        batch = fs.Batch(rng.normal(size=(50 * 64, 32)), fs.one_hot(rng.integers(0, 10, 3200), 10))
+        tracemalloc.start()
+        try:
+            fs.train_local(params, batch, 1, 64, 0.05, rng_seed=range(50), sizes=[64] * 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 50 * params.num_params * 8
 
     def test_start_models_checked(self):
         params, batch = random_model_and_batch(26, batch_rows=6)
@@ -547,6 +583,12 @@ def assert_inference_matches_reference(params, inputs, labels, threshold, rng):
     batch = fs.Batch(inputs, fs.one_hot(labels, classes))
     probs = reference_forward(params, batch.inputs)
     assert fs.forward(params, batch.inputs).tobytes() == probs.tobytes()
+    # Gathered rows, repeats allowed, below, at and across a block boundary.
+    block = _block_rows(params.layer_dims)
+    picks = rng.integers(0, rows, rows)
+    for count in (rows // 3, block, rows):
+        gathered = fs.forward(params, batch.inputs, picks[:count])
+        assert gathered.tobytes() == fs.forward(params, batch.inputs[picks[:count]]).tobytes()
 
     accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
     mean_loss = -(batch.targets * np.log(np.maximum(probs, 1e-12))).sum() / rows
@@ -619,6 +661,29 @@ class TestForwardMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_pseudo_label_memory_bounded_by_block(self):
+        # Copying the 56k hidden rows first would add 14 MB to forward's blocks.
+        params = fs.init_params((32, 128, 64, 10), seed=0)
+        rng = np.random.default_rng(0)
+        dataset = fs.Dataset(
+            rng.normal(size=(80_000, 32)), rng.integers(0, 10, 80_000),
+            rng.random(80_000) < 0.3, 10,
+        )
+        tracemalloc.start()
+        try:
+            fs.pseudo_label(params, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_rows_must_be_integer_indices(self):
+        params, batch = random_model_and_batch(23, batch_rows=12)
+        assert fs.forward(params, batch.inputs, np.array([], dtype=np.int64)).shape == (0, 3)
+        for rows in (np.ones(12, dtype=bool), np.zeros((2, 3), dtype=np.int64), [0.5]):
+            with pytest.raises(ShapeError, match="rows"):
+                fs.forward(params, batch.inputs, rows)
 
     def test_caller_arrays_untouched(self):
         params, batch = random_model_and_batch(23, batch_rows=12)
