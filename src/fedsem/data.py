@@ -23,6 +23,7 @@ from .seeding import derive_seed
 
 PARTITION_SCHEMES = ("iid", "shards", "dirichlet")
 MASK_MODES = ("per_client", "global")
+SCAN_VALUES = 2**16  # feature values per block of the finiteness scan
 
 
 # Arrays this package made read-only itself, by id. No caller holds a writable
@@ -83,8 +84,11 @@ class Dataset:
         if labels.shape != (n,) or visible.shape != (n,) or pseudo.shape != (n,):
             raise ConfigError("labels, label_visible, and pseudo_mask must have one entry per row")
         if _FINITE.get(id(features)) is not features:
-            if not np.isfinite(features).all():
-                raise ConfigError("features contain non-finite values")
+            # Row blocks of about SCAN_VALUES values bound the scan's boolean mask.
+            step = max(1, SCAN_VALUES // max(1, features.shape[1]))
+            for start in range(0, n, step):
+                if not np.isfinite(features[start : start + step]).all():
+                    raise ConfigError("features contain non-finite values")
             _FINITE[id(features)] = features
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")

@@ -259,11 +259,17 @@ def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
     return ModelParams.unflatten(dims, base + delta)
 
 
-def evaluation_batch(shards, dataset: Dataset) -> Batch:
-    """Union of all client test indices, as one evaluation batch."""
+def _evaluation_rows(shards) -> np.ndarray:
+    """The sorted union of all client test indices."""
     indices = np.sort(np.concatenate([s.test_indices for s in shards]))
     if indices.size == 0:
         raise ValueError("no test indices; split shards before running rounds")
+    return indices
+
+
+def evaluation_batch(shards, dataset: Dataset) -> Batch:
+    """Union of all client test indices, as one evaluation batch."""
+    indices = _evaluation_rows(shards)
     return Batch(
         inputs=_freeze(dataset.features[indices]),
         targets=_freeze(one_hot(dataset.labels[indices], dataset.num_classes)),
@@ -271,12 +277,13 @@ def evaluation_batch(shards, dataset: Dataset) -> Batch:
 
 
 def _rounds(state: ServerState, shards, dataset: Dataset, config: FederationConfig, phase: str,
-            eval_batch: Batch, count: int, stop=None):
+            scoring: tuple, count: int, stop=None):
     """Up to ``count`` rounds from ``state`` as a run; returns the last state.
 
     Each round yields its :class:`Cohort` for training, then averages the
-    updates and scores the new model on ``eval_batch``. ``stop``, if
-    given, sees the history after each round; a true result ends the run.
+    updates and scores the new model with ``evaluate(new_params, *scoring)``.
+    ``stop``, if given, sees the history after each round; a true result
+    ends the run.
     """
     by_id = {s.client_id: s for s in shards}
     for _ in range(count):
@@ -296,7 +303,7 @@ def _rounds(state: ServerState, shards, dataset: Dataset, config: FederationConf
         participants = tuple(sorted(u.client_id for u in updates))
         # The driver holds this list until the run yields again; free the client models now.
         updates.clear()
-        accuracy, mean_loss = evaluate(new_params, eval_batch)
+        accuracy, mean_loss = evaluate(new_params, *scoring)
         record = RoundRecord(
             round=state.round,
             phase=phase,
@@ -330,7 +337,7 @@ def run_round(
     participant count whenever enough trainable clients exist, and raising
     :class:`RoundFailure` if none is. ``eval_batch`` scores the new model.
     """
-    return run_lockstep([_rounds(state, shards, dataset, config, phase, eval_batch, 1)])[0]
+    return run_lockstep([_rounds(state, shards, dataset, config, phase, (eval_batch,), 1)])[0]
 
 
 def initial_params(config: FederationConfig, dataset: Dataset) -> ModelParams:
@@ -356,8 +363,9 @@ def fedavg_run(
         raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
     params = initial_params(config, dataset) if start_params is None else start_params
     state = ServerState(global_params=params, round=start_round, history=())
-    eval_batch = evaluation_batch(shards, dataset) if n_rounds else None
-    return (yield from _rounds(state, shards, dataset, config, phase, eval_batch, n_rounds, stop))
+    # Every round scores the test rows of ``dataset`` in place.
+    scoring = (dataset, _evaluation_rows(shards)) if n_rounds else ()
+    return (yield from _rounds(state, shards, dataset, config, phase, scoring, n_rounds, stop))
 
 
 def run_fedavg(

@@ -5,7 +5,8 @@ perceptron (ReLU hidden layers, softmax output) with exact analytic
 gradients of the mean cross-entropy loss. Values are immutable at the API:
 parameters are one read-only flat vector, and no call writes to its
 caller's arrays. Kernels work in place only in buffers they allocate per call;
-:func:`forward` runs in row blocks, so inference holds one block per hidden layer.
+:func:`forward` runs in row blocks and gathers selected rows block by block, so
+inference holds one block per layer, and :func:`evaluate` scores dataset rows in place.
 Values are validated where they enter and leave the API, not per step:
 :func:`train_local` checks only that its private vectors stay finite.
 
@@ -222,32 +223,48 @@ def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
     return h
 
 
+def _blocks(params: ModelParams, x: np.ndarray, rows):
+    """Yield ``(block, probs)``: the softmax rows of each block of ``forward``'s result.
+
+    ``x`` and ``rows`` are as :func:`forward` checks them. ``block`` is a
+    slice of the result's rows, and ``probs`` one buffer that the next block
+    overwrites. The layers run over blocks of :func:`_block_rows` rows in one
+    buffer per layer, and with ``rows`` each block gathers its own input rows
+    into one more. The last block ends at the last row, overlapping the one
+    before it, so every gemm has the same row count.
+    """
+    dims, n = params.layer_dims, len(x) if rows is None else len(rows)
+    size = min(n, _block_rows(dims))
+    outs = [np.empty((size, d)) for d in dims[1:]]
+    gathered = None if rows is None else np.empty((size, dims[0]))
+    for start in range(0, n, size or 1):
+        block = slice(min(start, n - size), min(start, n - size) + size)
+        if rows is None:
+            block_x = x[block]
+        else:
+            # On rows in [-len(x), len(x)) "wrap" equals indexing, and unlike "raise"
+            # it writes into ``gathered`` without a temporary.
+            block_x = np.take(x, rows[block], axis=0, out=gathered, mode="wrap")
+        yield block, _forward((params.weights, params.biases), block_x, outs)
+
+
 def forward(params: ModelParams, inputs, rows=None) -> np.ndarray:
     """Class probabilities, one softmax row per input row, or per entry of ``rows``.
 
     ``rows``, a 1-d integer index array, selects input rows: the result equals
     ``forward(params, inputs[rows])`` without copying the selected rows at once.
-    The layers run over blocks of :func:`_block_rows` rows in one buffer per
-    hidden layer, and each block gathers its own rows. The last block ends at
-    the last row, overlapping the one before it, so every gemm has the same
-    row count.
+    The layers run in row blocks, so the work buffers hold one block.
     """
     x = _check_inputs(params, inputs)
     if rows is not None:
         rows = np.asarray(rows)
         if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
             raise ShapeError(f"rows must be 1-d integer indices, got {rows.dtype} {rows.shape}")
-    dims, n = params.layer_dims, len(x) if rows is None else len(rows)
-    size = min(n, _block_rows(dims))
-    hidden = [np.empty((size, d)) for d in dims[1:-1]]
-    probs = np.empty((n, dims[-1]))
-    for start in range(0, n, size or 1):
-        block = slice(min(start, n - size), min(start, n - size) + size)
-        _forward(
-            (params.weights, params.biases),
-            x[block] if rows is None else x[rows[block]],
-            [*hidden, probs[block]],
-        )
+        if rows.size and (rows.min() < -len(x) or rows.max() >= len(x)):
+            raise IndexError(f"rows must lie in [{-len(x)}, {len(x)})")
+    probs = np.empty((len(x) if rows is None else len(rows), params.layer_dims[-1]))
+    for block, block_probs in _blocks(params, x, rows):
+        probs[block] = block_probs
     return probs
 
 
@@ -485,11 +502,30 @@ def predict(params: ModelParams, inputs) -> np.ndarray:
     return np.argmax(forward(params, inputs), axis=1)
 
 
-def evaluate(params: ModelParams, samples: Batch) -> tuple[float, float]:
-    """(accuracy, mean loss) of ``params`` over ``samples`` from one forward pass."""
-    _check_batch(params, samples)
-    probs = forward(params, samples.inputs)
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == np.argmax(samples.targets, axis=1)))
+def evaluate(params: ModelParams, samples, rows=None) -> tuple[float, float]:
+    """(accuracy, mean loss) of ``params`` from one forward pass.
+
+    ``samples`` is a :class:`Batch`, or, with ``rows``, a
+    :class:`~fedsem.data.Dataset` whose rows ``rows`` are scored in place
+    against the labels stored there. A batch is scored the same way, against
+    the argmax of its one-hot targets.
+    """
+    classes = params.layer_dims[-1]
+    if rows is None:
+        _check_batch(params, samples)
+        probs, labels = forward(params, samples.inputs), np.argmax(samples.targets, axis=1)
+    else:
+        if samples.num_classes != classes:
+            raise ShapeError(
+                f"dataset has {samples.num_classes} classes but the model outputs {classes}"
+            )
+        probs, labels = forward(params, samples.features, rows), samples.labels[rows]
+        if not labels.size:
+            raise ValueError("rows must be non-empty")
+        if labels.min() < 0 or labels.max() >= classes:
+            raise ValueError(f"scored labels must lie in [0, {classes})")
+    accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
     np.log(np.maximum(probs, PROB_FLOOR, out=probs), out=probs)
-    probs *= samples.targets
-    return accuracy, float(-probs.sum() / len(samples))
+    # A bool mask multiplies as exactly 1.0 and 0.0, as a one-hot target row does.
+    probs *= labels[:, None] == np.arange(classes)
+    return accuracy, float(-probs.sum() / len(labels))

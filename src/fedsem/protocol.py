@@ -21,7 +21,7 @@ from .data import Dataset, _freeze
 from .errors import ConfigError, ShapeError
 from .federation import FederationConfig, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
-from .model import ModelParams, forward
+from .model import ModelParams, _blocks, _check_inputs
 
 PHASE_SWITCH_MODES = ("at_half_rounds", "on_convergence")
 
@@ -149,12 +149,17 @@ def pseudo_label(
             f"{model_phase1.layer_dims[-1]}"
         )
     hidden = np.flatnonzero(~dataset.label_visible)
-    probs = forward(model_phase1, dataset.features, hidden)
-    confident = probs.max(axis=1) >= threshold
+    # Each hidden row keeps its top probability and its argmax, block by block.
+    confidence, predicted = np.empty(hidden.size), np.empty(hidden.size, dtype=np.int64)
+    features = _check_inputs(model_phase1, dataset.features)
+    for block, probs in _blocks(model_phase1, features, hidden):
+        np.maximum.reduce(probs, axis=1, out=confidence[block])
+        np.argmax(probs, axis=1, out=predicted[block])
+    confident = confidence >= threshold
     filled = hidden[confident]
 
     labels = np.array(dataset.labels, copy=True)
-    labels[filled] = probs.argmax(axis=1)[confident]
+    labels[filled] = predicted[confident]
     visible = np.array(dataset.label_visible, copy=True)
     visible[filled] = True
     pseudo = np.array(dataset.pseudo_mask, copy=True)

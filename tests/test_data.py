@@ -62,6 +62,17 @@ class TestGenerateSynthetic:
             tracemalloc.stop()
         assert peak < 1.3 * ds.features.nbytes
 
+    def test_memory_has_no_feature_sized_mask(self):
+        # A finiteness scan of the whole matrix at once adds one bool per value: 1.16x.
+        fs.generate_synthetic(10, 2, 2, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            ds = fs.generate_synthetic(100_000, 10, 32, 4.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * ds.features.nbytes
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -423,6 +434,17 @@ class TestDatasetArrays:
             dataclasses.replace(ds, features=features)
         with pytest.raises(ConfigError, match="non-finite"):
             fs.Dataset(features, ds.labels, ds.label_visible, 3)
+
+    @pytest.mark.parametrize("row", [0, 4, 5, 9, 10])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_any_scan_block_rejected(self, monkeypatch, row, value):
+        # Blocks of 3 rows of 4 values: rows 0-2, 3-5, 6-8 and the partial 9-10.
+        monkeypatch.setattr(fs.data, "SCAN_VALUES", 12)
+        features, labels, visible = self.sample(n=11)
+        fs.Dataset(features, labels, visible, 3)
+        features[row, 3] = value
+        with pytest.raises(ConfigError, match="non-finite"):
+            fs.Dataset(features, labels, visible, 3)
 
     def test_replace_does_not_rescan_validated_features(self):
         ds = fs.generate_synthetic(100_000, 10, 32, 4.0, seed=0)

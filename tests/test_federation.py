@@ -1,6 +1,7 @@
 """Round engine: sampling, client rounds, aggregation, the federated loop."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,28 @@ class TestRunFedavg:
         b = fs.run_fedavg(config, shards, masked)
         assert a.history == b.history
         assert a.global_params.flatten().tobytes() == b.global_params.flatten().tobytes()
+
+    def test_rounds_score_the_test_rows_in_place(self):
+        # 16k test rows of 80k x 32: a copied evaluation batch holds 5.4 MB of
+        # features and one-hot targets through the whole run.
+        dataset = fs.generate_synthetic(80_000, 10, 32, 4.0, seed=0)
+        spec = fs.PartitionSpec("iid", num_clients=10, seed=0)
+        masked, shards = build_pipeline(dataset, spec, labeled_fraction=0.05)
+        config = tiny_federation(num_clients=10, clients_per_round=1, rounds=1, batch_size=64,
+                                 hidden_dims=(128, 64))
+        fs.run_fedavg(config, shards, masked)  # numpy's lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            state = fs.run_fedavg(config, shards, masked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.5 * 2**20
+        record = state.history[0]
+        copied = fs.evaluate(state.global_params, fs.evaluation_batch(shards, masked))
+        assert np.array([record.test_accuracy, record.test_loss]).tobytes() == (
+            np.array(copied).tobytes()
+        )
 
     def test_canonical_task_reaches_regression_accuracy(self, easy_pipeline):
         _, masked, shards = easy_pipeline

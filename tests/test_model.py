@@ -323,6 +323,35 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError):
             fs.evaluate(params, fs.Batch(np.zeros((0, 4)), np.zeros((0, 3))))
 
+    def test_saturated_rows_score_signed_zeros_alike(self):
+        # Logits +-1000 give each row a true-class probability of exactly 1.0, so every
+        # loss term is a signed zero: 0.0 on the true class, -0.0 on the floored others.
+        weights = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
+        params = fs.ModelParams((2, 2), (weights,), (np.zeros(2),))
+        inputs = np.eye(2)[[0, 1, 1, 0, 1]]
+        labels = np.array([0, 1, 1, 0, 1])
+        dataset = fs.Dataset(inputs, labels, np.ones(5, dtype=bool), 2)
+        rows = np.array([4, 0, 0, 2, 3, 1])
+        in_place = fs.evaluate(params, dataset, rows)
+        copied = fs.evaluate(params, fs.Batch(inputs[rows], fs.one_hot(labels[rows], 2)))
+        assert in_place[0] == 1.0 and np.signbit(in_place[1]) and in_place[1] == 0.0
+        assert np.array(in_place).tobytes() == np.array(copied).tobytes()
+
+    def test_row_form_checks(self):
+        params = fs.init_params([4, 3], seed=0)
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, 10)
+        labels[7] = 99  # a hidden oracle label out of range
+        dataset = fs.Dataset(rng.normal(size=(10, 4)), labels, np.arange(10) != 7, 3)
+        with pytest.raises(ValueError, match="non-empty"):
+            fs.evaluate(params, dataset, np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="labels"):
+            fs.evaluate(params, dataset, np.array([1, 7]))
+        with pytest.raises(ShapeError, match="classes"):
+            fs.evaluate(fs.init_params([4, 5], seed=0), dataset, np.array([1, 2]))
+        with pytest.raises(IndexError):
+            fs.evaluate(params, dataset, np.array([10]))
+
 
 class TestFlattenUnflatten:
     @pytest.mark.parametrize("seed", range(5))
@@ -596,6 +625,12 @@ def assert_inference_matches_reference(params, inputs, labels, threshold, rng):
 
     visible = rng.random(rows) < 0.3
     dataset = fs.Dataset(batch.inputs, labels, visible, classes)
+    # The row form scores the same rows in place, to the bit.
+    for count in (max(1, rows // 3), block, rows):
+        picked = picks[:count]
+        copied = fs.Batch(batch.inputs[picked], fs.one_hot(labels[picked], classes))
+        in_place = fs.evaluate(params, dataset, picked)
+        assert np.array(in_place).tobytes() == np.array(fs.evaluate(params, copied)).tobytes()
     hidden_rows = np.flatnonzero(~visible)
     hidden_probs = reference_forward(params, batch.inputs[hidden_rows])
     confident = hidden_probs.max(axis=1) >= threshold
@@ -676,13 +711,43 @@ class TestForwardMatchesReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        # Forward's block buffers take 7.3 MB; a (56k, 10) probability matrix would add 4.5 MB.
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_pseudo_label_streams_blocks(self, threshold):
+        # About 9,800 hidden rows are three blocks of 4,370; the large-scale rows
+        # saturate, so threshold 1.0 fills some rows and not others.
+        params = fs.init_params((16, 48, 10), seed=3)
+        rng = np.random.default_rng(3)
+        scales = np.where(rng.random(14_000) < 0.5, 1.0, 60.0)
+        inputs = rng.normal(size=(14_000, 16)) * scales[:, None]
+        labels = rng.integers(0, 10, 14_000)
+        dataset = fs.Dataset(inputs, labels, rng.random(14_000) < 0.3, 10)
+        hidden = np.flatnonzero(~dataset.label_visible)
+        assert hidden.size > 2 * _block_rows(params.layer_dims)
+        probs = fs.forward(params, inputs)[hidden]
+        confident = probs.max(axis=1) >= threshold
+        expected = labels.copy()
+        expected[hidden[confident]] = probs.argmax(axis=1)[confident]
+        labeled = fs.pseudo_label(params, dataset, threshold)
+        assert labeled.labels.tobytes() == expected.tobytes()
+        assert np.array_equal(np.flatnonzero(labeled.pseudo_mask), hidden[confident])
+        assert confident.any() and (threshold == 0.0 or not confident.all())
 
     def test_rows_must_be_integer_indices(self):
         params, batch = random_model_and_batch(23, batch_rows=12)
         assert fs.forward(params, batch.inputs, np.array([], dtype=np.int64)).shape == (0, 3)
         for rows in (np.ones(12, dtype=bool), np.zeros((2, 3), dtype=np.int64), [0.5]):
             with pytest.raises(ShapeError, match="rows"):
+                fs.forward(params, batch.inputs, rows)
+        # Negative rows count from the end, as in indexing; rows out of range raise.
+        rows = np.array([-12, -1, 0, 11])
+        assert fs.forward(params, batch.inputs, rows).tobytes() == (
+            fs.forward(params, batch.inputs[rows]).tobytes()
+        )
+        for rows in ([0, 12], [-13, 0]):
+            with pytest.raises(IndexError, match="rows"):
                 fs.forward(params, batch.inputs, rows)
 
     def test_caller_arrays_untouched(self):

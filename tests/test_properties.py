@@ -1,4 +1,5 @@
-"""Property-based laws beside the acceptance criteria: aggregation, partitions, lockstep runs."""
+"""Property-based laws beside the acceptance criteria: aggregation, partitions, label masks,
+lockstep runs."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -66,6 +67,35 @@ class TestPartitionLaws:
         combined = np.concatenate([s.train_indices for s in shards])
         assert combined.size == n
         assert np.array_equal(np.sort(combined), np.arange(n))
+
+
+class TestMaskLaws:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(6, 300),
+        k=st.integers(1, 12),
+        scheme=st.sampled_from(fs.data.PARTITION_SCHEMES),
+        percent=st.integers(1, 100),
+        seed=st.integers(0, 2**16),
+    )
+    def test_visible_counts(self, n, k, scheme, percent, seed):
+        # f = percent / 100, so ceil(f * t) is exact in integers.
+        n = max(n, 3 * k)
+        dataset = fs.generate_synthetic(n, 3, 2, 2.0, seed=seed)
+        spec = fs.PartitionSpec(scheme, k, shards_per_client=2, alpha=0.5, seed=seed)
+        shards = fs.partition(dataset, spec)
+        assume(min(s.size for s in shards) >= 2)
+        shards = fs.split_train_test(shards, seed=seed)
+        tests = np.concatenate([s.test_indices for s in shards])
+        for mode in fs.data.MASK_MODES:
+            masked = fs.mask_labels(dataset, shards, percent / 100, mode, seed=seed)
+            shown = [int(masked.label_visible[s.train_indices].sum()) for s in shards]
+            if mode == "per_client":
+                assert shown == [-(-percent * s.train_indices.size // 100) for s in shards]
+            else:
+                total = sum(s.train_indices.size for s in shards)
+                assert sum(shown) == -(-percent * total // 100)
+            assert masked.label_visible[tests].all()
 
 
 run_spec = st.fixed_dictionaries({
