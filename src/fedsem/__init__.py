@@ -37,7 +37,7 @@ from .federation import (
     run_round,
     training_view,
 )
-from .metrics import RoundRecord, export_history, gain, load_history, render_summary
+from .metrics import RoundRecord, export_history, gain, render_summary
 from .model import (
     Batch,
     ModelParams,
@@ -103,7 +103,6 @@ __all__ = [
     "init_params",
     "initial_params",
     "load_csv",
-    "load_history",
     "loss",
     "mask_labels",
     "one_hot",

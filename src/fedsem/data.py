@@ -30,9 +30,6 @@ SCAN_VALUES = 2**16  # feature values per block of the finiteness scan
 # handle to them, so frozen values share them instead of copying. The values are
 # weak: an entry never keeps an array alive and leaves with it.
 _OWNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# Frozen feature matrices a Dataset has already found finite, by id, held weakly
-# the same way: a ``replace`` that keeps the features does not scan them again.
-_FINITE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -60,7 +57,7 @@ class Dataset:
     with out-of-range sentinels. ``pseudo_mask`` marks visible labels
     that were filled in by a model rather than observed. A caller's arrays
     are copied; arrays of another frozen value are shared, so ``replace``
-    keeps one copy of each unchanged field and checks shared features once.
+    keeps one copy of each unchanged field.
     """
 
     features: np.ndarray
@@ -83,13 +80,11 @@ class Dataset:
         n = features.shape[0]
         if labels.shape != (n,) or visible.shape != (n,) or pseudo.shape != (n,):
             raise ConfigError("labels, label_visible, and pseudo_mask must have one entry per row")
-        if _FINITE.get(id(features)) is not features:
-            # Row blocks of about SCAN_VALUES values bound the scan's boolean mask.
-            step = max(1, SCAN_VALUES // max(1, features.shape[1]))
-            for start in range(0, n, step):
-                if not np.isfinite(features[start : start + step]).all():
-                    raise ConfigError("features contain non-finite values")
-            _FINITE[id(features)] = features
+        # Row blocks of about SCAN_VALUES values bound the scan's boolean mask.
+        step = max(1, SCAN_VALUES // max(1, features.shape[1]))
+        for start in range(0, n, step):
+            if not np.isfinite(features[start : start + step]).all():
+                raise ConfigError("features contain non-finite values")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         shown = labels[visible]

@@ -6,17 +6,17 @@ average the returned parameters and evaluate the new global model on the
 union of all client test indices. The sampled clients train together, in
 one lockstep :func:`~fedsem.model.train_local` call per round.
 
-A run is a generator over its rounds (:func:`fedavg_run`, and the phase
-runs of :mod:`fedsem.protocol`). :func:`run_lockstep` drives one or many
-runs; stacked runs share each round's ``train_local`` call, and every
-blocking entry point here is the one-run case.
+A run is a generator over its rounds; :func:`fedavg_run` is the one round
+loop, and the phase runs of :mod:`fedsem.protocol` wrap it. :func:`run_lockstep`
+drives one or many runs; stacked runs share each round's ``train_local``
+call, and every blocking entry point here is the one-run case.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Generator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -276,70 +276,6 @@ def evaluation_batch(shards, dataset: Dataset) -> Batch:
     )
 
 
-def _rounds(state: ServerState, shards, dataset: Dataset, config: FederationConfig, phase: str,
-            scoring: tuple, count: int, stop=None):
-    """Up to ``count`` rounds from ``state`` as a run; returns the last state.
-
-    Each round yields its :class:`Cohort` for training, then averages the
-    updates and scores the new model with ``evaluate(new_params, *scoring)``.
-    ``stop``, if given, sees the history after each round; a true result
-    ends the run.
-    """
-    by_id = {s.client_id: s for s in shards}
-    for _ in range(count):
-        cohort = []
-        for cid in _round_order(config.master_seed, state.round, by_id.keys()):
-            if len(cohort) == config.clients_per_round:
-                break
-            view = training_view(by_id[cid], dataset)
-            if view.size:
-                cohort.append((by_id[cid], view))
-        if not cohort:
-            raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
-        updates = yield Cohort(
-            state.global_params, tuple(cohort), dataset, config, state.round, phase
-        )
-        new_params = aggregate(updates, config.aggregation)
-        participants = tuple(sorted(u.client_id for u in updates))
-        # The driver holds this list until the run yields again; free the client models now.
-        updates.clear()
-        accuracy, mean_loss = evaluate(new_params, *scoring)
-        record = RoundRecord(
-            round=state.round,
-            phase=phase,
-            test_accuracy=accuracy,
-            test_loss=mean_loss,
-            participant_ids=participants,
-        )
-        state = ServerState(
-            global_params=new_params,
-            round=state.round + 1,
-            history=state.history + (record,),
-        )
-        if stop is not None and stop(state.history):
-            break
-    return state
-
-
-def run_round(
-    state: ServerState,
-    shards,
-    dataset: Dataset,
-    config: FederationConfig,
-    phase: str = "phase1",
-    *,
-    eval_batch: Batch,
-) -> ServerState:
-    """One full federated round; returns the advanced server state.
-
-    Clients whose :func:`training_view` is empty are skipped and replaced
-    by the next eligible id in this round's seeded order, keeping the
-    participant count whenever enough trainable clients exist, and raising
-    :class:`RoundFailure` if none is. ``eval_batch`` scores the new model.
-    """
-    return run_lockstep([_rounds(state, shards, dataset, config, phase, (eval_batch,), 1)])[0]
-
-
 def initial_params(config: FederationConfig, dataset: Dataset) -> ModelParams:
     """Seeded global model sized to the dataset and configured hidden layers."""
     layer_dims = (dataset.dim, *config.hidden_dims, dataset.num_classes)
@@ -357,36 +293,79 @@ def fedavg_run(
     phase: str = "phase1",
     stop: Callable[[tuple[RoundRecord, ...]], bool] | None = None,
 ):
-    """:func:`run_fedavg` as a run for :func:`run_lockstep`; returns the final state."""
+    """:func:`run_fedavg` as a run for :func:`run_lockstep`; returns the final state.
+
+    Each round yields a :class:`Cohort` in the round's seeded client order,
+    replacing each client whose :func:`training_view` is empty by the next id
+    (:class:`RoundFailure` when every view is empty), then averages the
+    updates it is sent and scores the new model on the test rows of
+    ``dataset`` in place.
+    """
     n_rounds = config.rounds if rounds is None else rounds
     if n_rounds < 0:
         raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
     params = initial_params(config, dataset) if start_params is None else start_params
     state = ServerState(global_params=params, round=start_round, history=())
-    # Every round scores the test rows of ``dataset`` in place.
-    scoring = (dataset, _evaluation_rows(shards)) if n_rounds else ()
-    return (yield from _rounds(state, shards, dataset, config, phase, scoring, n_rounds, stop))
+    if not n_rounds:
+        return state
+    test_rows = _evaluation_rows(shards)
+    by_id = {s.client_id: s for s in shards}
+    for _ in range(n_rounds):
+        cohort = []
+        for cid in _round_order(config.master_seed, state.round, by_id.keys()):
+            if len(cohort) == config.clients_per_round:
+                break
+            view = training_view(by_id[cid], dataset)
+            if view.size:
+                cohort.append((by_id[cid], view))
+        if not cohort:
+            raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
+        updates = yield Cohort(
+            state.global_params, tuple(cohort), dataset, config, state.round, phase
+        )
+        new_params = aggregate(updates, config.aggregation)
+        participants = tuple(sorted(u.client_id for u in updates))
+        # The driver holds this list until the run yields again; free the client models now.
+        updates.clear()
+        accuracy, mean_loss = evaluate(new_params, dataset, test_rows)
+        record = RoundRecord(
+            round=state.round,
+            phase=phase,
+            test_accuracy=accuracy,
+            test_loss=mean_loss,
+            participant_ids=participants,
+        )
+        state = ServerState(
+            global_params=new_params,
+            round=state.round + 1,
+            history=state.history + (record,),
+        )
+        if stop is not None and stop(state.history):
+            break
+    return state
 
 
-def run_fedavg(
-    config: FederationConfig,
-    shards,
-    dataset: Dataset,
-    *,
-    rounds: int | None = None,
-    start_params: ModelParams | None = None,
-    start_round: int = 0,
-    phase: str = "phase1",
-    stop: Callable[[tuple[RoundRecord, ...]], bool] | None = None,
-) -> ServerState:
+def run_fedavg(config: FederationConfig, shards, dataset: Dataset, **options) -> ServerState:
     """Run up to ``rounds`` federated rounds (default: config.rounds).
 
-    Starts from ``start_params`` (default: the seeded initial model) at
-    round index ``start_round``. ``stop``, if given, sees this call's
-    history after each round; a true result ends the loop early.
+    Takes :func:`fedavg_run`'s options: starts from ``start_params``
+    (default: the seeded initial model) at round index ``start_round``;
+    ``stop``, if given, sees this call's history after each round, and a
+    true result ends the loop early.
     """
-    run = fedavg_run(
-        config, shards, dataset, rounds=rounds, start_params=start_params,
-        start_round=start_round, phase=phase, stop=stop,
+    return run_lockstep([fedavg_run(config, shards, dataset, **options)])[0]
+
+
+def run_round(
+    state: ServerState,
+    shards,
+    dataset: Dataset,
+    config: FederationConfig,
+    phase: str = "phase1",
+) -> ServerState:
+    """The one-round case of :func:`run_fedavg`, continuing ``state`` and its history."""
+    new = run_fedavg(
+        config, shards, dataset, rounds=1, start_params=state.global_params,
+        start_round=state.round, phase=phase,
     )
-    return run_lockstep([run])[0]
+    return replace(new, history=state.history + new.history)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -62,16 +61,6 @@ def _record_row(r: RoundRecord) -> dict:
     }
 
 
-def _row_record(row: dict) -> RoundRecord:
-    return RoundRecord(
-        round=int(row["round"]),
-        phase=row["phase"],
-        test_accuracy=float(row["test_accuracy"]),
-        test_loss=float(row["test_loss"]),
-        participant_ids=tuple(int(i) for i in row["participants"]),
-    )
-
-
 def export_history(history, path, fmt: str = "csv") -> None:
     """Write round records as CSV or JSON; byte-identical per history."""
     if fmt not in HISTORY_FORMATS:
@@ -87,21 +76,6 @@ def export_history(history, path, fmt: str = "csv") -> None:
     else:
         text = json.dumps(rows, indent=2) + "\n"
     write_text(path, text)
-
-
-def load_history(path, fmt: str = "csv") -> list[RoundRecord]:
-    """Read back a history file written by :func:`export_history`; extra columns are ignored."""
-    if fmt not in HISTORY_FORMATS:
-        raise ValueError(f"unknown history format {fmt!r}, expected one of {HISTORY_FORMATS}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        if fmt == "csv":
-            rows = [
-                dict(row, participants=row["participants"].split(";"))
-                for row in csv.DictReader(fh)
-            ]
-        else:
-            rows = json.load(fh)
-    return [_row_record(row) for row in rows]
 
 
 def render_summary(payload: dict) -> str:

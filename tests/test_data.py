@@ -446,7 +446,7 @@ class TestDatasetArrays:
         with pytest.raises(ConfigError, match="non-finite"):
             fs.Dataset(features, labels, visible, 3)
 
-    def test_replace_does_not_rescan_validated_features(self):
+    def test_replace_holds_no_feature_sized_mask(self):
         ds = fs.generate_synthetic(100_000, 10, 32, 4.0, seed=0)
         tracemalloc.start()
         try:
@@ -454,7 +454,7 @@ class TestDatasetArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A finiteness scan allocates one boolean per feature: 3.2 MB here.
+        # A whole-matrix finiteness mask holds one boolean per feature: 3.2 MB here.
         assert peak < ds.n_samples * ds.dim
 
 

@@ -267,9 +267,7 @@ class TestRunRound:
         masked, shards = tiny_pipeline(num_clients=1, n=40)
         config = tiny_federation(num_clients=1, clients_per_round=1)
         state = fs.ServerState(fs.initial_params(config, masked), round=0)
-        advanced = fs.run_round(
-            state, shards, masked, config, eval_batch=fs.evaluation_batch(shards, masked)
-        )
+        advanced = fs.run_round(state, shards, masked, config)
         view = fs.training_view(shards[0], masked)
         batch = fs.Batch(masked.features[view], fs.one_hot(masked.labels[view], 3))
         expected = fs.train_local(
@@ -287,9 +285,8 @@ class TestRunRound:
         masked, shards = tiny_pipeline()
         config = tiny_federation()
         state = fs.ServerState(fs.initial_params(config, masked), round=0)
-        eval_batch = fs.evaluation_batch(shards, masked)
         for expected_len in range(1, 4):
-            state = fs.run_round(state, shards, masked, config, eval_batch=eval_batch)
+            state = fs.run_round(state, shards, masked, config)
             assert len(state.history) == expected_len
             assert state.round == expected_len
 
@@ -297,8 +294,7 @@ class TestRunRound:
         masked, shards = tiny_pipeline()
         config = tiny_federation()
         state = fs.run_round(
-            fs.ServerState(fs.initial_params(config, masked), round=0), shards, masked, config,
-            eval_batch=fs.evaluation_batch(shards, masked),
+            fs.ServerState(fs.initial_params(config, masked), round=0), shards, masked, config
         )
         record = state.history[0]
         assert len(record.participant_ids) == config.clients_per_round
@@ -314,7 +310,7 @@ class TestRunRound:
         blind = dataclasses.replace(masked, label_visible=hidden)
         state = fs.run_round(
             fs.ServerState(fs.initial_params(config, blind), round=0),
-            shards, blind, config, eval_batch=fs.evaluation_batch(shards, blind),
+            shards, blind, config,
         )
         record = state.history[0]
         assert len(record.participant_ids) == config.clients_per_round
@@ -337,7 +333,7 @@ class TestRunRound:
         monkeypatch.setattr(fs.federation, "training_view", counted)
         fs.run_round(
             fs.ServerState(fs.initial_params(config, blind), round=0),
-            shards, blind, config, eval_batch=fs.evaluation_batch(shards, blind),
+            shards, blind, config,
         )
         # The starved client is one candidate more; nobody is viewed twice.
         assert len(calls) == config.clients_per_round + 1
@@ -352,7 +348,7 @@ class TestRunRound:
         with pytest.raises(RoundFailure):
             fs.run_round(
                 fs.ServerState(fs.initial_params(config, nothing), round=0),
-                shards, nothing, config, eval_batch=fs.evaluation_batch(shards, nothing),
+                shards, nothing, config,
             )
 
     def test_shard_order_changes_nothing(self):
@@ -360,16 +356,33 @@ class TestRunRound:
         config = tiny_federation()
         init = fs.initial_params(config, masked)
         reordered = list(reversed(shards))
-        a = fs.run_round(
-            fs.ServerState(init, round=0), shards, masked, config,
-            eval_batch=fs.evaluation_batch(shards, masked),
-        )
-        b = fs.run_round(
-            fs.ServerState(init, round=0), reordered, masked, config,
-            eval_batch=fs.evaluation_batch(reordered, masked),
-        )
+        a = fs.run_round(fs.ServerState(init, round=0), shards, masked, config)
+        b = fs.run_round(fs.ServerState(init, round=0), reordered, masked, config)
         assert a.global_params.flatten().tobytes() == b.global_params.flatten().tobytes()
         assert a.history == b.history
+
+    def test_record_scores_the_evaluation_batch(self):
+        masked, shards = tiny_pipeline(labeled_fraction=0.5)
+        config = tiny_federation()
+        state = fs.run_round(
+            fs.ServerState(fs.initial_params(config, masked), round=0), shards, masked, config
+        )
+        record = state.history[0]
+        copied = fs.evaluate(state.global_params, fs.evaluation_batch(shards, masked))
+        assert np.array([record.test_accuracy, record.test_loss]).tobytes() == (
+            np.array(copied).tobytes()
+        )
+
+    def test_rounds_equal_run_fedavg(self):
+        masked, shards = tiny_pipeline(labeled_fraction=0.5)
+        config = tiny_federation()
+        state = fs.ServerState(fs.initial_params(config, masked), round=0)
+        for _ in range(2):
+            state = fs.run_round(state, shards, masked, config)
+        whole = fs.run_fedavg(config, shards, masked, rounds=2)
+        assert state.round == whole.round == 2
+        assert state.history == whole.history
+        assert state.global_params.flatten().tobytes() == whole.global_params.flatten().tobytes()
 
 
 class TestRunFedavg:
@@ -379,6 +392,17 @@ class TestRunFedavg:
         state = fs.run_fedavg(config, shards, masked)
         assert state.history == ()
         assert params_equal(state.global_params, fs.initial_params(config, masked))
+
+    def test_zero_rounds_need_no_test_rows(self):
+        dataset = fs.generate_synthetic(120, 3, 4, 3.0, seed=0)
+        unsplit = fs.partition(dataset, fs.PartitionSpec("iid", num_clients=6, seed=0))
+        config = tiny_federation()
+        start = fs.init_params((4, 6, 3), seed=9)
+        state = fs.run_fedavg(config, unsplit, dataset, rounds=0, start_params=start,
+                              start_round=3)
+        assert (state.global_params, state.round, state.history) == (start, 3, ())
+        with pytest.raises(ValueError, match="no test indices"):
+            fs.run_fedavg(config, unsplit, dataset, rounds=1)
 
     def test_bit_identical_reruns(self):
         masked, shards = tiny_pipeline()

@@ -200,7 +200,6 @@ class TestRunPhase2:
         expected_first = fs.run_round(
             fs.ServerState(model1, round=len(history1)),
             shards, labeled, config.federation, phase="phase2",
-            eval_batch=fs.evaluation_batch(shards, labeled),
         )
         assert history2[0] == expected_first.history[0]
 
