@@ -156,6 +156,13 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _failure(stage: str, exc: Exception) -> int:
+    """Report ``exc`` raised during ``stage``; returns the exit code, 2 for a config error."""
+    kind, code = ("configuration error", 2) if isinstance(exc, ConfigError) else ("error", 1)
+    print(f"{kind} during {stage}: {exc}", file=sys.stderr)
+    return code
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config, overrides=args.override, seed=args.seed, out_dir=args.out)
     out_dir = resolve_output_dir(config.output.directory)
@@ -168,12 +175,8 @@ def cmd_run(args) -> int:
         stage = "writing outputs"
         summary_text = _write_outputs(out_dir, history, payload, config.output.formats)
         elapsed = time.perf_counter() - started
-    except ConfigError as exc:
-        print(f"configuration error during {stage}: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        print(f"error during {stage}: {exc}", file=sys.stderr)
-        return 1
+        return _failure(stage, exc)
     if not args.quiet:
         print(summary_text, end="")
         print(f"outputs in {out_dir} ({elapsed:.1f}s)")
@@ -248,12 +251,8 @@ def cmd_sweep(args) -> int:
                     print(f"cell {slug}: gain {payload['gain']:.6f}")
         stage = "writing sweep.csv"
         write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
-    except ConfigError as exc:
-        print(f"configuration error during {stage}: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        print(f"error during {stage}: {exc}", file=sys.stderr)
-        return 1
+        return _failure(stage, exc)
     if not args.quiet:
         print(f"sweep table in {out_root / 'sweep.csv'} ({len(rows)} cells)")
     return 0
@@ -277,10 +276,13 @@ def cmd_report(args) -> int:
         if not isinstance(payload, dict):
             raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
         summary_text = render_summary(payload)
-        write_text(path.parent / "summary.txt", summary_text)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"malformed result file {path}: {exc}", file=sys.stderr)
         return 1
+    try:
+        write_text(path.parent / "summary.txt", summary_text)
+    except OSError as exc:
+        return _failure("writing summary.txt", exc)
     if not args.quiet:
         print(summary_text, end="")
     return 0
@@ -303,21 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--quiet", action="store_true")
     gen.set_defaults(handler=cmd_generate)
 
-    run = sub.add_parser("run", help="run one experiment from a config file")
-    run.add_argument("--config", required=True)
-    run.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    run.add_argument("--quiet", action="store_true")
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", required=True)
+    experiment.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
+    experiment.add_argument("--out", default=None, help="output directory")
+    experiment.add_argument("--seed", type=int, default=None, help="override the master seed")
+    experiment.add_argument("--quiet", action="store_true")
+    run = sub.add_parser("run", parents=[experiment], help="run one experiment from a config file")
     run.set_defaults(handler=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="run a grid of experiments")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[experiment], help="run a grid of experiments")
     sweep.add_argument("--axis", action="append", default=[], metavar="KEY=V1,V2")
-    sweep.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--quiet", action="store_true")
     sweep.set_defaults(handler=cmd_sweep)
 
     report = sub.add_parser("report", help="re-render summary.txt from result.json")

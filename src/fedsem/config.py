@@ -244,11 +244,7 @@ def load_config(path, overrides=(), seed: int | None = None, out_dir: str | None
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    raw = parse_config_text(text)
-    if seed is not None:
-        raw = apply_overrides(raw, [f"federation.master_seed={seed}"])
-    raw = apply_overrides(raw, overrides)
-    if out_dir is not None:
-        raw = apply_overrides(raw, [f"output.directory={out_dir}"])
-    return build_config(raw)
+    seeded = [] if seed is None else [f"federation.master_seed={seed}"]
+    placed = [] if out_dir is None else [f"output.directory={out_dir}"]
+    return build_config(apply_overrides(parse_config_text(text), [*seeded, *overrides, *placed]))
 

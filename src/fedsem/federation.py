@@ -256,7 +256,7 @@ def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
     delta = np.zeros_like(base)
     for coeff, update in zip(coeffs, ordered):
         delta += coeff * (update.params.vector - base)
-    return ModelParams.unflatten(dims, base + delta)
+    return ModelParams.unflatten(dims, _freeze(base + delta))
 
 
 def _evaluation_rows(shards) -> np.ndarray:

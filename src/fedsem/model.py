@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import _frozen
+from .data import _freeze, _frozen
 from .errors import ConfigError, ShapeError, TrainingDivergence
 
 PROB_FLOOR = 1e-12
@@ -91,8 +91,11 @@ class ModelParams:
         self._own(dims, np.concatenate(chunks, dtype=np.float64))
 
     def _own(self, dims: tuple[int, ...], flat: np.ndarray) -> None:
-        """Freeze and check ``flat``, then expose it through per-layer views."""
-        flat.flags.writeable = False
+        """Check and freeze ``flat``, then expose it through per-layer views."""
+        expected = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
+        if flat.size != expected:
+            raise ShapeError(f"flat vector has {flat.size} entries, expected {expected}")
+        _freeze(flat)
         if not np.isfinite(flat).all():
             raise ValueError("non-finite parameter values")
         weights, biases = _views(dims, flat)
@@ -111,17 +114,12 @@ class ModelParams:
 
     @classmethod
     def unflatten(cls, layer_dims, vector) -> "ModelParams":
-        """Parameters over one copy of a flat vector; inverse of :meth:`flatten`."""
-        return cls._adopt(_check_dims(layer_dims), np.array(vector, dtype=np.float64).ravel())
+        """Parameters over a flat vector; inverse of :meth:`flatten`.
 
-    @classmethod
-    def _adopt(cls, dims: tuple[int, ...], vec: np.ndarray) -> "ModelParams":
-        """Parameters over ``vec`` itself, which nothing may write to afterwards."""
-        expected = sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:]))
-        if vec.size != expected:
-            raise ShapeError(f"flat vector has {vec.size} entries, expected {expected}")
+        A vector this package froze is adopted as it is; any other is copied.
+        """
         params = object.__new__(cls)
-        params._own(dims, vec)
+        params._own(_check_dims(layer_dims), _frozen(vector, np.float64).ravel())
         return params
 
 
@@ -313,7 +311,7 @@ def backward(params: ModelParams, batch: Batch) -> ModelParams:
     outs = [np.empty((1, len(x), d)) for d in dims[1:]]
     layers = _views(dims, params.vector[None])
     _gradient(layers, x[None], batch.targets[None], _views(dims, grad), outs)
-    return ModelParams.unflatten(dims, grad)
+    return ModelParams.unflatten(dims, _freeze(grad))
 
 
 def _step(flat, grad, moments, t: int, lr: float, scratch) -> None:
@@ -359,7 +357,7 @@ def optimizer_step(
         state = replace(state, first_moment=moments[0], second_moment=moments[1])
     flat = params.flatten()
     _step(flat, grad.vector, moments, t, lr, np.empty((2, flat.size)))
-    return ModelParams.unflatten(params.layer_dims, flat), replace(state, step_count=t)
+    return ModelParams.unflatten(params.layer_dims, _freeze(flat)), replace(state, step_count=t)
 
 
 def train_local(
@@ -488,7 +486,7 @@ def _lockstep(models, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
     # The results are rows of ``flat``: no copy, and no hole left where it was.
     trained = [None] * count
     for i, client in enumerate(rank):
-        trained[client] = ModelParams._adopt(dims, flat[i])
+        trained[client] = ModelParams.unflatten(dims, _freeze(flat[i]))
     return trained
 
 

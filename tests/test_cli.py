@@ -395,6 +395,18 @@ class TestReport:
             assert err.startswith(f"malformed result file {path}")
             assert len(err.splitlines()) == 1
 
+    def test_unwritable_summary_exit_1(self, write_config, tmp_path, capsys):
+        main(["run", "--config", str(write_config()), "--quiet"])
+        out = tmp_path / "run-out"
+        (out / "summary.txt").unlink()
+        (out / "summary.txt").mkdir()
+        capsys.readouterr()
+        assert main(["report", "--result", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error during writing summary.txt:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestDatasetFileWorkflow:
     def test_generated_csv_feeds_a_run(self, tmp_path):

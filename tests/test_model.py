@@ -371,6 +371,26 @@ class TestFlattenUnflatten:
         with pytest.raises(ShapeError):
             fs.ModelParams.unflatten((3, 2), np.zeros(5))
 
+    def test_non_finite_rejected(self):
+        vec = np.zeros(fs.init_params((3, 2), 0).num_params)
+        vec[4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fs.ModelParams.unflatten((3, 2), vec)
+
+    def test_adopts_a_parameter_vector(self):
+        params = fs.init_params([6, 5, 4], seed=0)
+        rebuilt = fs.ModelParams.unflatten(params.layer_dims, params.vector)
+        assert np.shares_memory(rebuilt.vector, params.vector)
+
+    def test_copies_a_caller_array(self):
+        vec = np.random.default_rng(0).normal(size=fs.init_params((3, 2), 0).num_params)
+        params = fs.ModelParams.unflatten((3, 2), vec)
+        assert not np.shares_memory(params.vector, vec)
+        assert vec.flags.writeable and not params.vector.flags.writeable
+        before = vec.copy()
+        vec += 1.0
+        np.testing.assert_array_equal(params.vector, before)
+
 
 class TestPurityAndImmutability:
     def test_repeated_calls_bit_identical(self):
