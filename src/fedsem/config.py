@@ -3,12 +3,13 @@
 INI-style sections ([dataset], [partition], [labels], [federation],
 [fedsem], [output]) with strict validation: unknown sections or keys are
 hard errors, so a typo can never silently fall back to a default.
-``_SCHEMA`` is the one table of keys, in file order, with the cast that
-reads each. An omitted key takes its config class's default; only the
-defaults the classes lack (the iid scheme over 20 clients, 5 clients per
-round, 10 local epochs, learning rate 0.0001) live in ``build_config``.
-Every stage seed defaults from the single federation master_seed, and
-float values must be finite.
+``_SCHEMA`` is read from the config classes: a section's keys are its
+class's fields, each read by the cast its annotation names. An omitted
+key takes its class's default; only the defaults the classes lack (the
+iid scheme over 20 clients, 5 clients per round, 10 local epochs,
+learning rate 0.0001) live in ``build_config``. Every stage seed
+defaults from the single federation master_seed, and float values must
+be finite.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import MASK_MODES, PartitionSpec
 from .errors import ConfigError
@@ -52,46 +53,6 @@ def _cast_int_tuple(raw: str) -> tuple[int, ...]:
 
 def _cast_str_tuple(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
-    "dataset": {
-        "source": str,
-        "samples": int,
-        "classes": int,
-        "dim": int,
-        "separation": _cast_finite_float,
-        "seed": int,
-        "path": str,
-        "has_header": _cast_bool,
-    },
-    "partition": {
-        "scheme": str,
-        "num_clients": int,
-        "shards_per_client": int,
-        "alpha": _cast_finite_float,
-        "seed": int,
-    },
-    "labels": {"labeled_fraction": _cast_finite_float, "mask_mode": str, "mask_seed": int},
-    "federation": {
-        "clients_per_round": int,
-        "rounds": int,
-        "local_epochs": int,
-        "learning_rate": _cast_finite_float,
-        "batch_size": int,
-        "solver": str,
-        "aggregation": str,
-        "master_seed": int,
-        "hidden_dims": _cast_int_tuple,
-    },
-    "fedsem": {
-        "phase_switch": str,
-        "convergence_window": int,
-        "convergence_epsilon": _cast_finite_float,
-        "pseudo_label_threshold": _cast_finite_float,
-    },
-    "output": {"directory": str, "formats": _cast_str_tuple},
-}
 
 
 @dataclass(frozen=True)
@@ -161,6 +122,27 @@ class ExperimentConfig:
     federation: FederationConfig
     fedsem: FedSemConfig | None
     output: OutputConfig
+
+
+_CASTS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "float": _cast_finite_float,
+    "bool": _cast_bool,
+    "str": str,
+    "tuple[int, ...]": _cast_int_tuple,
+    "tuple[str, ...]": _cast_str_tuple,
+}
+# Not keys: [partition] sets the client count; [federation] is FedSemConfig's.
+_NOT_KEYS = ("federation.num_clients", "fedsem.federation")
+# A section's annotation in ExperimentConfig names the class whose fields are its keys.
+_SCHEMA: dict[str, dict[str, Callable[[str], object]]] = {
+    section.name: {
+        key.name: _CASTS[key.type.removesuffix(" | None")]
+        for key in fields(globals()[section.type.removesuffix(" | None")])
+        if f"{section.name}.{key.name}" not in _NOT_KEYS
+    }
+    for section in fields(ExperimentConfig)
+}
 
 
 def _section(raw: dict[str, dict[str, str]], section: str, **file_defaults) -> dict:

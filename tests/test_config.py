@@ -285,6 +285,13 @@ class TestSchema:
         for section, keys in _SCHEMA.items():
             assert set(keys) <= {f.name for f in fields(classes[section])}, section
 
+    # The schema is read from the config classes; these are the two fields
+    # it skips, so neither may be set as a key.
+    @pytest.mark.parametrize("dotted", ["federation.num_clients", "fedsem.federation"])
+    def test_field_that_is_not_a_key_is_rejected(self, dotted):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'unknown key {dotted}')}$"):
+            config_from(MINIMAL, overrides=[f"{dotted}=3"])
+
 
 class TestShippedCanonicalConfig:
     def test_matches_acceptance_experiment(self):
@@ -324,3 +331,19 @@ class TestReadmeExample:
             elif entry:
                 documented[section].append(entry.group(1))
         assert documented == {name: list(keys) for name, keys in _SCHEMA.items()}
+
+    def test_ini_example_builds_the_canonical_config(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert build_config(parse_config_text(block)) == load_config(
+            REPO_ROOT / "configs" / "canonical.ini"
+        )
+
+    def test_python_examples_run(self):
+        # The library examples build on one another, so they run in order
+        # in one namespace.
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        namespace: dict = {}
+        for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["result_a"].accuracy_phase2 == namespace["result"].accuracy_phase2
