@@ -39,11 +39,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _frozen(arr, dtype) -> np.ndarray:
-    """``arr`` as a read-only ``dtype`` array: itself if this package froze it, else a copy."""
+def _frozen(arr, dtype, name: str) -> np.ndarray:
+    """``arr`` as a read-only ``dtype`` array: itself if this package froze it, else a copy.
+
+    An integer or bool copy must keep every value of ``arr``; the field
+    ``name`` is reported when it would not.
+    """
     if _OWNED.get(id(arr)) is arr and arr.dtype == dtype:
         return arr
-    return _freeze(np.array(arr, dtype=dtype, copy=True))
+    copy = np.array(arr, dtype=dtype)
+    if copy.dtype.kind in "biu" and copy.size and not np.array_equal(copy, arr):
+        raise ConfigError(f"{name}: casting to {copy.dtype} would change some values")
+    return _freeze(copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +74,13 @@ class Dataset:
     pseudo_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        features = _frozen(self.features, np.float64)
-        labels = _frozen(self.labels, np.int64)
-        visible = _frozen(self.label_visible, bool)
+        features = _frozen(self.features, np.float64, "features")
+        labels = _frozen(self.labels, np.int64, "labels")
+        visible = _frozen(self.label_visible, bool, "label_visible")
         pseudo = (
             _freeze(np.zeros(labels.shape[0], dtype=bool))
             if self.pseudo_mask is None
-            else _frozen(self.pseudo_mask, bool)
+            else _frozen(self.pseudo_mask, bool, "pseudo_mask")
         )
         if features.ndim != 2:
             raise ConfigError(f"features must be 2-d, got shape {features.shape}")
@@ -113,11 +120,9 @@ class ClientShard:
     test_indices: np.ndarray | None = None
 
     def __post_init__(self):
-        train = _frozen(np.atleast_1d(self.train_indices), np.int64)
-        test = _frozen(
-            np.empty(0) if self.test_indices is None else np.atleast_1d(self.test_indices),
-            np.int64,
-        )
+        train = _frozen(np.atleast_1d(self.train_indices), np.int64, "train_indices")
+        test = np.empty(0) if self.test_indices is None else np.atleast_1d(self.test_indices)
+        test = _frozen(test, np.int64, "test_indices")
         if self.client_id < 0:
             raise ConfigError(f"client_id must be non-negative, got {self.client_id}")
         if test.size and np.intersect1d(train, test).size:

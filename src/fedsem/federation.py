@@ -242,6 +242,9 @@ def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
     if scheme not in AGGREGATIONS:
         raise ConfigError(f"unknown aggregation {scheme!r}, expected one of {AGGREGATIONS}")
     ordered = sorted(updates, key=lambda u: u.client_id)
+    for prev, u in zip(ordered, ordered[1:]):
+        if prev.client_id == u.client_id:
+            raise ValueError(f"two updates from client {u.client_id}")
     dims = ordered[0].params.layer_dims
     for u in ordered:
         if u.params.layer_dims != dims:

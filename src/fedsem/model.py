@@ -119,7 +119,7 @@ class ModelParams:
         A vector this package froze is adopted as it is; any other is copied.
         """
         params = object.__new__(cls)
-        params._own(_check_dims(layer_dims), _frozen(vector, np.float64).ravel())
+        params._own(_check_dims(layer_dims), _frozen(vector, np.float64, "vector").ravel())
         return params
 
 
@@ -131,8 +131,8 @@ class Batch:
     targets: np.ndarray
 
     def __post_init__(self):
-        inputs = _frozen(self.inputs, np.float64)
-        targets = _frozen(self.targets, np.float64)
+        inputs = _frozen(self.inputs, np.float64, "inputs")
+        targets = _frozen(self.targets, np.float64, "targets")
         if inputs.ndim != 2 or targets.ndim != 2:
             raise ShapeError("batch inputs and targets must be 2-d arrays")
         if inputs.shape[0] != targets.shape[0]:
@@ -398,7 +398,7 @@ def train_local(
     """
     cohort = sizes is not None
     sizes = [int(s) for s in sizes] if cohort else [len(samples)]
-    seeds = [int(s) for s in rng_seed] if cohort else [rng_seed]
+    seeds = [int(s) for s in rng_seed] if cohort and np.ndim(rng_seed) else [rng_seed]
     starts = [params] * len(sizes) if isinstance(params, ModelParams) else list(params)
     if not sizes or min(sizes) < 1:
         raise ValueError("every client needs at least one training sample")

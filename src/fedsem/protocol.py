@@ -13,7 +13,7 @@ Each phase, and the whole experiment (:func:`fedsem_run`), is a run for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,29 +56,30 @@ class FedSemConfig:
 class ExperimentResult:
     """Everything a two-phase run produces.
 
-    Per-phase accuracies are the best test accuracy over that phase's
-    history. ``pseudo_label_accuracy`` compares the assigned
-    pseudo-labels against the oracle ground truth and is None when no
-    pseudo-labels were assigned.
+    ``accuracy_phase1``, ``accuracy_phase2`` and ``gain`` are derived from
+    ``history`` on construction: each phase's best test accuracy, and
+    :func:`~fedsem.metrics.gain` of the two. ``pseudo_label_accuracy``
+    compares the assigned pseudo-labels against the oracle ground truth
+    and is None when no pseudo-labels were assigned.
     """
 
     model_phase1: ModelParams
     model_phase2: ModelParams
     history: tuple[RoundRecord, ...]
-    accuracy_phase1: float
-    accuracy_phase2: float
-    gain: float
     pseudo_label_accuracy: float | None
+    accuracy_phase1: float = field(init=False)
+    accuracy_phase2: float = field(init=False)
+    gain: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("accuracy_phase1", "accuracy_phase2"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of [0, 1]: {value}")
-        if abs(self.gain - gain(self.accuracy_phase1, self.accuracy_phase2)) > 1e-12:
-            raise ValueError("gain inconsistent with the phase accuracies")
         if self.pseudo_label_accuracy is not None and not 0.0 <= self.pseudo_label_accuracy <= 1.0:
             raise ValueError(f"pseudo_label_accuracy out of [0, 1]: {self.pseudo_label_accuracy}")
+        for phase in ("phase1", "phase2"):
+            accuracies = [r.test_accuracy for r in self.history if r.phase == phase]
+            if not accuracies:
+                raise ValueError(f"history has no {phase} record")
+            object.__setattr__(self, f"accuracy_{phase}", max(accuracies))
+        object.__setattr__(self, "gain", gain(self.accuracy_phase1, self.accuracy_phase2))
 
 
 def converged(history, window: int, epsilon: float) -> bool:
@@ -227,14 +228,4 @@ def fedsem_run(config: FedSemConfig, shards, dataset: Dataset):
     model_phase2, history2 = yield from _phase2(
         model_phase1, labeled, config, shards, start_round=len(history1)
     )
-    accuracy_phase1 = max(r.test_accuracy for r in history1)
-    accuracy_phase2 = max(r.test_accuracy for r in history2)
-    return ExperimentResult(
-        model_phase1=model_phase1,
-        model_phase2=model_phase2,
-        history=history1 + history2,
-        accuracy_phase1=accuracy_phase1,
-        accuracy_phase2=accuracy_phase2,
-        gain=gain(accuracy_phase1, accuracy_phase2),
-        pseudo_label_accuracy=pseudo_accuracy,
-    )
+    return ExperimentResult(model_phase1, model_phase2, history1 + history2, pseudo_accuracy)

@@ -426,6 +426,26 @@ class TestDatasetArrays:
             assert ds.features.tobytes() == expected.tobytes()
             assert not ds.features.flags.writeable
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: fs.Dataset(np.zeros((3, 2)), [0.7, 1.2, 1.9], np.ones(3, bool), 2), "labels"),
+            (lambda: fs.Dataset(np.zeros((2, 2)), [0, 1], [1, 2], 2), "label_visible"),
+            (lambda: fs.ClientShard(0, np.array([0.5, 2.9]), [1]), "train_indices"),
+            (lambda: fs.ClientShard(0, [0, 2], np.array([1.2])), "test_indices"),
+        ],
+    )
+    def test_lossy_integer_and_bool_casts_rejected(self, build, field):
+        with pytest.raises(ConfigError, match=field):
+            build()
+
+    def test_exact_integer_and_bool_casts_accepted(self):
+        ds = fs.Dataset(np.zeros((2, 2)), [1.0, 0.0], np.array([1, 0]), 2, pseudo_mask=[0.0, 0.0])
+        assert ds.labels.tolist() == [1, 0]
+        assert ds.label_visible.tolist() == [True, False]
+        assert ds.pseudo_mask.tolist() == [False, False]
+        assert fs.ClientShard(0, [2.0, 0.0], np.empty(0, dtype=np.float32)).size == 2
+
     def test_caller_features_with_nan_rejected(self):
         ds = fs.generate_synthetic(60, 3, 4, 3.0, seed=1)
         features = np.array(ds.features)

@@ -253,6 +253,12 @@ class TestAggregate:
         with pytest.raises(ValueError):
             fs.aggregate([])
 
+    def test_duplicate_client_rejected(self):
+        a, b, c = scalar_update(1, 0.1, 3), scalar_update(1, 0.3, 5), scalar_update(2, 0.7, 2)
+        for updates in ([a, b, c], [b, a, c]):
+            with pytest.raises(ValueError, match="two updates from client 1"):
+                fs.aggregate(updates)
+
     def test_shape_mismatch_rejected(self):
         updates = [
             fs.ClientUpdate(0, fs.init_params((3, 2), seed=0), 1),

@@ -603,6 +603,7 @@ class TestCohortMatchesPerClient:
             ([3, 2], [1, 2], ShapeError),
             ([6, 0], [1, 2], ValueError),
             ([], [], ValueError),
+            ([3, 3], 3, ConfigError),
         ],
     )
     def test_cohort_shape_checked(self, sizes, seeds, error):

@@ -295,6 +295,21 @@ class TestRunFedsem:
         )
 
 
+class TestExperimentResult:
+    params = fs.init_params((4, 3), seed=0)
+
+    def test_figures_derive_from_history(self):
+        history = make_records([0.4, 0.5, 0.45]) + make_records([0.55, 0.6], "phase2", 3)
+        result = fs.ExperimentResult(self.params, self.params, tuple(history), None)
+        assert (result.accuracy_phase1, result.accuracy_phase2) == (0.5, 0.6)
+        assert result.gain == fs.gain(0.5, 0.6)
+
+    def test_history_without_a_phase_rejected(self):
+        history = tuple(make_records([0.4, 0.5]))
+        with pytest.raises(ValueError, match="phase2"):
+            fs.ExperimentResult(self.params, self.params, history, None)
+
+
 class TestTrainingCallContract:
     """A benchmark counts sample-epochs by wrapping ``fedsem.federation.train_local``."""
 
