@@ -78,8 +78,8 @@ class DatasetConfig:
                 raise ConfigError("dataset.samples must be >= dataset.classes")
             if self.dim < 2:
                 raise ConfigError(f"dataset.dim must be >= 2, got {self.dim}")
-            if self.separation <= 0:
-                raise ConfigError(f"dataset.separation must be positive, got {self.separation}")
+            if not 0 < self.separation < math.inf:
+                raise ConfigError(f"dataset.separation must be finite and > 0, got {self.separation}")
         if self.seed < 0:
             raise ConfigError("dataset.seed must be non-negative")
 
@@ -210,6 +210,8 @@ def build_config(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
     if "rounds" not in fed_keys:
         raise ConfigError("missing required key federation.rounds")
     seed = fed_keys.get("master_seed", FederationConfig.master_seed)
+    if seed < 0:
+        raise ConfigError(f"federation.master_seed must be non-negative, got {seed}")
     dataset = DatasetConfig(**_section(raw, "dataset", seed=seed))
     partition = PartitionSpec(**_section(raw, "partition", scheme="iid", num_clients=20, seed=seed))
     labels = LabelConfig(**_section(raw, "labels", mask_seed=seed))

@@ -158,8 +158,8 @@ class PartitionSpec:
             raise ConfigError("partition seed must be non-negative")
         if self.scheme == "shards" and (self.shards_per_client is None or self.shards_per_client < 1):
             raise ConfigError("shards scheme requires shards_per_client >= 1")
-        if self.scheme == "dirichlet" and (self.alpha is None or self.alpha <= 0):
-            raise ConfigError("dirichlet scheme requires alpha > 0")
+        if self.scheme == "dirichlet" and not 0 < (self.alpha or 0) < math.inf:
+            raise ConfigError(f"dirichlet scheme requires a finite alpha > 0, got {self.alpha}")
 
 
 def generate_synthetic(
@@ -181,8 +181,8 @@ def generate_synthetic(
         raise ConfigError(f"need at least one sample per class ({n_samples} < {num_classes})")
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
-    if class_separation <= 0:
-        raise ConfigError(f"class_separation must be positive, got {class_separation}")
+    if not 0 < class_separation < math.inf:
+        raise ConfigError(f"class_separation must be finite and > 0, got {class_separation}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -15,12 +15,13 @@ call, and every blocking entry point here is the one-run case.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Generator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _freeze, one_hot
+from .data import ClientShard, Dataset, _freeze, _frozen, one_hot
 from .errors import ConfigError, RoundFailure, ShapeError, TrainingDivergence
 from .metrics import RoundRecord
 from .model import (
@@ -52,7 +53,8 @@ class FederationConfig:
     hidden_dims: tuple[int, ...] = (32,)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        dims = _frozen(self.hidden_dims, np.int64, "hidden_dims")
+        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in dims))
         if self.num_clients < 1:
             raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
         if not 1 <= self.clients_per_round <= self.num_clients:
@@ -64,8 +66,8 @@ class FederationConfig:
             raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
         if self.local_epochs < 1:
             raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.solver not in SOLVERS:
@@ -95,7 +97,7 @@ class ClientUpdate:
 
 @dataclass(frozen=True, eq=False)
 class ServerState:
-    """Global parameters plus the completed-round history."""
+    """A federation's state: global parameters, next round index, completed-round history."""
 
     global_params: ModelParams
     round: int
@@ -291,13 +293,13 @@ def fedavg_run(
     dataset: Dataset,
     *,
     rounds: int | None = None,
-    start_params: ModelParams | None = None,
-    start_round: int = 0,
+    start: ServerState | None = None,
     phase: str = "phase1",
     stop: Callable[[tuple[RoundRecord, ...]], bool] | None = None,
 ):
     """:func:`run_fedavg` as a run for :func:`run_lockstep`; returns the final state.
 
+    Continues ``start`` (default: the seeded initial model at round 0).
     Each round yields a :class:`Cohort` in the round's seeded client order,
     replacing each client whose :func:`training_view` is empty by the next id
     (:class:`RoundFailure` when every view is empty), then averages the
@@ -307,54 +309,42 @@ def fedavg_run(
     n_rounds = config.rounds if rounds is None else rounds
     if n_rounds < 0:
         raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
-    params = initial_params(config, dataset) if start_params is None else start_params
-    state = ServerState(global_params=params, round=start_round, history=())
+    if start is None:
+        start = ServerState(initial_params(config, dataset), round=0)
     if not n_rounds:
-        return state
+        return start
+    params, new = start.global_params, []
     test_rows = _evaluation_rows(shards)
     by_id = {s.client_id: s for s in shards}
-    for _ in range(n_rounds):
+    for index in range(start.round, start.round + n_rounds):
         cohort = []
-        for cid in _round_order(config.master_seed, state.round, by_id.keys()):
+        for cid in _round_order(config.master_seed, index, by_id.keys()):
             if len(cohort) == config.clients_per_round:
                 break
             view = training_view(by_id[cid], dataset)
             if view.size:
                 cohort.append((by_id[cid], view))
         if not cohort:
-            raise RoundFailure(f"round {state.round} ({phase}): every eligible client skipped")
-        updates = yield Cohort(
-            state.global_params, tuple(cohort), dataset, config, state.round, phase
-        )
-        new_params = aggregate(updates, config.aggregation)
+            raise RoundFailure(f"round {index} ({phase}): every eligible client skipped")
+        updates = yield Cohort(params, tuple(cohort), dataset, config, index, phase)
+        params = aggregate(updates, config.aggregation)
         participants = tuple(sorted(u.client_id for u in updates))
         # The driver holds this list until the run yields again; free the client models now.
         updates.clear()
-        accuracy, mean_loss = evaluate(new_params, dataset, test_rows)
-        record = RoundRecord(
-            round=state.round,
-            phase=phase,
-            test_accuracy=accuracy,
-            test_loss=mean_loss,
-            participant_ids=participants,
-        )
-        state = ServerState(
-            global_params=new_params,
-            round=state.round + 1,
-            history=state.history + (record,),
-        )
-        if stop is not None and stop(state.history):
+        accuracy, mean_loss = evaluate(params, dataset, test_rows)
+        new.append(RoundRecord(index, phase, accuracy, mean_loss, participants))
+        if stop is not None and stop(tuple(new)):
             break
-    return state
+    return ServerState(params, start.round + len(new), start.history + tuple(new))
 
 
 def run_fedavg(config: FederationConfig, shards, dataset: Dataset, **options) -> ServerState:
     """Run up to ``rounds`` federated rounds (default: config.rounds).
 
-    Takes :func:`fedavg_run`'s options: starts from ``start_params``
-    (default: the seeded initial model) at round index ``start_round``;
-    ``stop``, if given, sees this call's history after each round, and a
-    true result ends the loop early.
+    Takes :func:`fedavg_run`'s options: continues the :class:`ServerState`
+    ``start`` (default: the seeded initial model at round 0) and returns
+    the state after its rounds; ``stop``, if given, sees this call's
+    records after each round, and a true result ends the loop early.
     """
     return run_lockstep([fedavg_run(config, shards, dataset, **options)])[0]
 
@@ -367,8 +357,4 @@ def run_round(
     phase: str = "phase1",
 ) -> ServerState:
     """The one-round case of :func:`run_fedavg`, continuing ``state`` and its history."""
-    new = run_fedavg(
-        config, shards, dataset, rounds=1, start_params=state.global_params,
-        start_round=state.round, phase=phase,
-    )
-    return replace(new, history=state.history + new.history)
+    return run_fedavg(config, shards, dataset, rounds=1, start=state, phase=phase)

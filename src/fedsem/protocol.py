@@ -13,13 +13,14 @@ Each phase, and the whole experiment (:func:`fedsem_run`), is a run for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, _freeze
 from .errors import ConfigError, ShapeError
-from .federation import FederationConfig, fedavg_run, run_lockstep
+from .federation import FederationConfig, ServerState, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
 from .model import ModelParams, _blocks, _check_inputs
 
@@ -46,8 +47,8 @@ class FedSemConfig:
             )
         if self.phase_switch == "on_convergence" and self.convergence_window < 2:
             raise ConfigError("convergence_window must be >= 2 for on_convergence")
-        if self.convergence_epsilon < 0:
-            raise ConfigError("convergence_epsilon must be >= 0")
+        if not 0 <= self.convergence_epsilon < math.inf:
+            raise ConfigError("convergence_epsilon must be finite and >= 0")
         if not 0.0 <= self.pseudo_label_threshold <= 1.0:
             raise ConfigError("pseudo_label_threshold must be in [0, 1]")
 
@@ -112,22 +113,22 @@ def run_phase1(
     ``on_convergence`` trains until :func:`converged` holds, within
     ``rounds - 1`` rounds so that phase 2 keeps at least one.
     """
-    return run_lockstep([_phase1(config, shards, dataset)])[0]
+    state = run_lockstep([_phase1(config, shards, dataset)])[0]
+    return state.global_params, state.history
 
 
 def _phase1(config: FedSemConfig, shards, dataset: Dataset):
-    """:func:`run_phase1` as a run."""
+    """:func:`run_phase1` as a run; returns the federation's :class:`ServerState`."""
     fed = config.federation
     budget = fed.rounds // 2 if config.phase_switch == "at_half_rounds" else fed.rounds - 1
-    state = yield from fedavg_run(
+    return (yield from fedavg_run(
         fed,
         shards,
         replace(dataset, label_visible=_freeze(dataset.label_visible & ~dataset.pseudo_mask)),
         rounds=budget,
         phase="phase1",
         stop=_stop_rule(config),
-    )
-    return state.global_params, state.history
+    ))
 
 
 def pseudo_label(
@@ -184,27 +185,21 @@ def run_phase2(
     it stops earlier once :func:`converged` holds over phase 2's own
     history.
     """
-    return run_lockstep([_phase2(model_phase1, dataset, config, shards, start_round)])[0]
-
-
-def _phase2(model_phase1: ModelParams, dataset: Dataset, config: FedSemConfig, shards,
-            start_round: int):
-    """:func:`run_phase2` as a run."""
-    fed = config.federation
-    budget = fed.rounds - start_round
-    if budget < 1:
-        raise ConfigError(f"no phase-2 round budget left after {start_round} rounds")
-    state = yield from fedavg_run(
-        fed,
-        shards,
-        dataset,
-        rounds=budget,
-        start_params=model_phase1,
-        start_round=start_round,
-        phase="phase2",
-        stop=_stop_rule(config),
-    )
+    start = ServerState(model_phase1, round=start_round)
+    state = run_lockstep([_phase2(start, dataset, config, shards)])[0]
     return state.global_params, state.history
+
+
+def _phase2(start: ServerState, dataset: Dataset, config: FedSemConfig, shards):
+    """:func:`run_phase2` as a run continuing ``start``; returns the final state."""
+    fed = config.federation
+    budget = fed.rounds - start.round
+    if budget < 1:
+        raise ConfigError(f"no phase-2 round budget left after {start.round} rounds")
+    return (yield from fedavg_run(
+        fed, shards, dataset, rounds=budget, start=start, phase="phase2",
+        stop=_stop_rule(config),
+    ))
 
 
 def run_fedsem(config: FedSemConfig, shards, dataset: Dataset) -> ExperimentResult:
@@ -213,9 +208,13 @@ def run_fedsem(config: FedSemConfig, shards, dataset: Dataset) -> ExperimentResu
 
 
 def fedsem_run(config: FedSemConfig, shards, dataset: Dataset):
-    """:func:`run_fedsem` as a run for :func:`~fedsem.federation.run_lockstep`."""
-    model_phase1, history1 = yield from _phase1(config, shards, dataset)
-    labeled = pseudo_label(model_phase1, dataset, config.pseudo_label_threshold)
+    """:func:`run_fedsem` as a run for :func:`~fedsem.federation.run_lockstep`.
+
+    Phase 2 continues the federation state phase 1 leaves: its model,
+    its next round index and its history.
+    """
+    phase1 = yield from _phase1(config, shards, dataset)
+    labeled = pseudo_label(phase1.global_params, dataset, config.pseudo_label_threshold)
 
     new_pseudo = labeled.pseudo_mask & ~dataset.pseudo_mask
     if new_pseudo.any():
@@ -225,7 +224,7 @@ def fedsem_run(config: FedSemConfig, shards, dataset: Dataset):
     else:
         pseudo_accuracy = None
 
-    model_phase2, history2 = yield from _phase2(
-        model_phase1, labeled, config, shards, start_round=len(history1)
+    phase2 = yield from _phase2(phase1, labeled, config, shards)
+    return ExperimentResult(
+        phase1.global_params, phase2.global_params, phase2.history, pseudo_accuracy
     )
-    return ExperimentResult(model_phase1, model_phase2, history1 + history2, pseudo_accuracy)

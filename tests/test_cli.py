@@ -96,6 +96,14 @@ class TestGenerate:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["generate", "--samples", "60", "--dim", "4", "--quiet",
+                     "--out", str(blocker / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error writing dataset:")
+
 
 class TestRun:
     def test_successful_run_writes_outputs(self, write_config, tmp_path, capsys):
@@ -130,6 +138,22 @@ class TestRun:
             "configuration error: invalid value for fedsem.convergence_epsilon: "
             "'nan' (expected a finite number)\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["run", "--seed", "-1"], "federation.master_seed must be non-negative, got -1"),
+            (["sweep", "--axis", "seed=-1"], "federation.master_seed must be non-negative, got -1"),
+            (["run", "--override", "dataset.seed=-1"], "dataset.seed must be non-negative"),
+        ],
+        ids=["run-seed", "sweep-seed", "dataset-seed"],
+    )
+    def test_negative_seed_names_its_key_exit_2(self, tmp_path, capsys, command, message):
+        out = tmp_path / "o"
+        code = main([*command, "--config", str(CANONICAL_INI), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     def test_override_beats_file(self, write_config, tmp_path):
         config = write_config()
@@ -323,6 +347,25 @@ class TestSweep:
     def test_no_axes_exit_2(self, write_config, capsys):
         assert main(["sweep", "--config", str(write_config()), "--quiet"]) == 2
         assert "--axis" in capsys.readouterr().err
+
+    def test_progress_lines_without_quiet(self, write_config, tmp_path, capsys):
+        config = write_config(out_dir="sweep-out")
+        assert main(["sweep", "--config", str(config), "--axis", "epochs=1,2"]) == 0
+        cells = tmp_path / "sweep-out" / "cells"
+        gains = [json.loads((cells / f"epochs-{e}" / "result.json").read_text())["gain"]
+                 for e in (1, 2)]
+        assert capsys.readouterr().out.splitlines() == [
+            f"cell epochs-1: gain {gains[0]:.6f}",
+            f"cell epochs-2: gain {gains[1]:.6f}",
+            f"sweep table in {tmp_path / 'sweep-out' / 'sweep.csv'} (2 cells)",
+        ]
+
+    def test_axis_without_values_exit_2(self, write_config, tmp_path, capsys):
+        config = write_config(out_dir="sweep-out")
+        code = main(["sweep", "--config", str(config), "--quiet", "--axis", "labeled_fraction"])
+        assert code == 2
+        assert "axis must look like key=v1,v2" in capsys.readouterr().err
+        assert not (tmp_path / "sweep-out").exists()
 
     def test_empty_axis_exit_2(self, write_config, capsys):
         code = main(["sweep", "--config", str(write_config()), "--quiet", "--axis", "epochs="])

@@ -1,5 +1,6 @@
 """Experiment-file parsing: strict keys, defaults, overrides, exact parsed configs."""
 
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from fedsem.config import (
     load_config,
     parse_config_text,
 )
-from fedsem.data import PartitionSpec
+from fedsem.data import PartitionSpec, generate_synthetic
 from fedsem.federation import FederationConfig
 from fedsem.protocol import FedSemConfig
 from fedsem.errors import ConfigError
@@ -291,6 +292,37 @@ class TestSchema:
     def test_field_that_is_not_a_key_is_rejected(self, dotted):
         with pytest.raises(ConfigError, match=f"^{re.escape(f'unknown key {dotted}')}$"):
             config_from(MINIMAL, overrides=[f"{dotted}=3"])
+
+
+class TestLibraryConstructors:
+    # Library callers skip the experiment file's casts, so each constructor
+    # must itself reject a non-finite or non-integral setting and name it.
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("alpha", lambda: PartitionSpec("dirichlet", 3, alpha=math.nan)),
+            ("alpha", lambda: PartitionSpec("dirichlet", 3, alpha=math.inf)),
+            ("convergence_epsilon", lambda: FedSemConfig(
+                canonical_federation(), phase_switch="on_convergence", convergence_window=2,
+                convergence_epsilon=math.nan,
+            )),
+            ("learning_rate", lambda: canonical_federation(learning_rate=math.nan)),
+            ("learning_rate", lambda: canonical_federation(learning_rate=math.inf)),
+            ("hidden_dims", lambda: canonical_federation(hidden_dims=(2.7,))),
+            ("dataset.separation", lambda: DatasetConfig(separation=math.nan)),
+            ("dataset.separation", lambda: DatasetConfig(separation=math.inf)),
+            ("class_separation", lambda: generate_synthetic(60, 3, 4, math.nan, seed=1)),
+            ("class_separation", lambda: generate_synthetic(60, 3, 4, math.inf, seed=1)),
+        ],
+        ids=[
+            "alpha-nan", "alpha-inf", "convergence_epsilon-nan", "learning_rate-nan",
+            "learning_rate-inf", "hidden_dims-2.7", "separation-nan", "separation-inf",
+            "class_separation-nan", "class_separation-inf",
+        ],
+    )
+    def test_non_finite_or_non_integral_setting_rejected(self, field, build):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            build()
 
 
 class TestShippedCanonicalConfig:

@@ -403,10 +403,11 @@ class TestRunFedavg:
         dataset = fs.generate_synthetic(120, 3, 4, 3.0, seed=0)
         unsplit = fs.partition(dataset, fs.PartitionSpec("iid", num_clients=6, seed=0))
         config = tiny_federation()
-        start = fs.init_params((4, 6, 3), seed=9)
-        state = fs.run_fedavg(config, unsplit, dataset, rounds=0, start_params=start,
-                              start_round=3)
-        assert (state.global_params, state.round, state.history) == (start, 3, ())
+        start = fs.ServerState(fs.init_params((4, 6, 3), seed=9), round=3)
+        state = fs.run_fedavg(config, unsplit, dataset, rounds=0, start=start)
+        assert (state.global_params, state.round, state.history) == (start.global_params, 3, ())
+        with pytest.raises(TypeError, match="start_round"):
+            fs.run_fedavg(config, unsplit, dataset, rounds=0, start_round=3)
         with pytest.raises(ValueError, match="no test indices"):
             fs.run_fedavg(config, unsplit, dataset, rounds=1)
 

@@ -218,15 +218,23 @@ class TestRunPhase2:
         # With nothing injected, phase 2 is round-for-round the same run a
         # single uninterrupted labeled-only federation would have produced.
         masked, shards = small_pipeline(labeled_fraction=0.4)
-        config = dataclasses.replace(small_config(), pseudo_label_threshold=1.0)
-        result = fs.run_fedsem(config, shards, masked)
+        config = small_config()
         continuous = fs.run_fedavg(config.federation, shards, masked)
-        for two_phase, straight in zip(result.history, continuous.history):
-            assert two_phase.round == straight.round
-            assert two_phase.test_accuracy == straight.test_accuracy
-            assert two_phase.test_loss == straight.test_loss
-            assert two_phase.participant_ids == straight.participant_ids
-        assert result.model_phase2.flatten().tobytes() == continuous.global_params.flatten().tobytes()
+        # Nothing passes a 1.0 threshold, unless a softmax maximum rounds to exactly 1.0 ...
+        result = fs.run_fedsem(
+            dataclasses.replace(config, pseudo_label_threshold=1.0), shards, masked
+        )
+        # ... so the control also continues phase 1 on its own data, which has no pseudo-labels.
+        model1, history1 = fs.run_phase1(config, shards, masked)
+        model2, history2 = fs.run_phase2(model1, masked, config, shards, start_round=len(history1))
+        for history, model in ((result.history, result.model_phase2), (history1 + history2, model2)):
+            assert len(history) == len(continuous.history)
+            for two_phase, straight in zip(history, continuous.history):
+                assert two_phase.round == straight.round
+                assert two_phase.test_accuracy == straight.test_accuracy
+                assert two_phase.test_loss == straight.test_loss
+                assert two_phase.participant_ids == straight.participant_ids
+            assert model.flatten().tobytes() == continuous.global_params.flatten().tobytes()
 
 
     def test_on_convergence_stops_each_phase_at_window(self):
