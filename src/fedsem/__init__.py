@@ -8,6 +8,8 @@ accuracy/loss and the relative accuracy gain from exploiting unlabeled
 data.
 """
 
+# First: it decides how many threads numpy's OpenBLAS starts with.
+from . import _blas  # noqa: F401
 from .data import (
     ClientShard,
     Dataset,

@@ -47,8 +47,12 @@ def _frozen(arr, dtype, name: str) -> np.ndarray:
     """
     if _OWNED.get(id(arr)) is arr and arr.dtype == dtype:
         return arr
+    integral = np.dtype(dtype).kind in "biu"
+    # NaN and inf have no integer value: numpy would raise or warn on their cast.
+    if integral and np.asarray(arr).dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise ConfigError(f"{name}: casting to {np.dtype(dtype)} would change some values")
     copy = np.array(arr, dtype=dtype)
-    if copy.dtype.kind in "biu" and copy.size and not np.array_equal(copy, arr):
+    if integral and copy.size and not np.array_equal(copy, arr):
         raise ConfigError(f"{name}: casting to {copy.dtype} would change some values")
     return _freeze(copy)
 

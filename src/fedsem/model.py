@@ -21,10 +21,12 @@ client alone.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._blas import all_cpus
 from .data import _freeze, _frozen
 from .errors import ConfigError, ShapeError, TrainingDivergence
 
@@ -221,29 +223,31 @@ def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
     return h
 
 
-def _blocks(params: ModelParams, x: np.ndarray, rows):
-    """Yield ``(block, probs)``: the softmax rows of each block of ``forward``'s result.
+def _each_block(params: ModelParams, x: np.ndarray, rows, consume) -> None:
+    """Call ``consume(block, probs)`` with each block of ``forward``'s softmax rows.
 
     ``x`` and ``rows`` are as :func:`forward` checks them. ``block`` is a
     slice of the result's rows, and ``probs`` one buffer that the next block
     overwrites. The layers run over blocks of :func:`_block_rows` rows in one
     buffer per layer, and with ``rows`` each block gathers its own input rows
     into one more. The last block ends at the last row, overlapping the one
-    before it, so every gemm has the same row count.
+    before it, so every gemm has the same row count. A call of more than one
+    block runs OpenBLAS on every usable CPU (see :mod:`fedsem._blas`).
     """
     dims, n = params.layer_dims, len(x) if rows is None else len(rows)
     size = min(n, _block_rows(dims))
     outs = [np.empty((size, d)) for d in dims[1:]]
     gathered = None if rows is None else np.empty((size, dims[0]))
-    for start in range(0, n, size or 1):
-        block = slice(min(start, n - size), min(start, n - size) + size)
-        if rows is None:
-            block_x = x[block]
-        else:
-            # On rows in [-len(x), len(x)) "wrap" equals indexing, and unlike "raise"
-            # it writes into ``gathered`` without a temporary.
-            block_x = np.take(x, rows[block], axis=0, out=gathered, mode="wrap")
-        yield block, _forward((params.weights, params.biases), block_x, outs)
+    with all_cpus() if n > size else nullcontext():
+        for start in range(0, n, size or 1):
+            block = slice(min(start, n - size), min(start, n - size) + size)
+            if rows is None:
+                block_x = x[block]
+            else:
+                # On rows in [-len(x), len(x)) "wrap" equals indexing, and unlike "raise"
+                # it writes into ``gathered`` without a temporary.
+                block_x = np.take(x, rows[block], axis=0, out=gathered, mode="wrap")
+            consume(block, _forward((params.weights, params.biases), block_x, outs))
 
 
 def forward(params: ModelParams, inputs, rows=None) -> np.ndarray:
@@ -261,8 +265,7 @@ def forward(params: ModelParams, inputs, rows=None) -> np.ndarray:
         if rows.size and (rows.min() < -len(x) or rows.max() >= len(x)):
             raise IndexError(f"rows must lie in [{-len(x)}, {len(x)})")
     probs = np.empty((len(x) if rows is None else len(rows), params.layer_dims[-1]))
-    for block, block_probs in _blocks(params, x, rows):
-        probs[block] = block_probs
+    _each_block(params, x, rows, probs.__setitem__)
     return probs
 
 

@@ -22,7 +22,7 @@ from .data import Dataset, _freeze
 from .errors import ConfigError, ShapeError
 from .federation import FederationConfig, ServerState, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
-from .model import ModelParams, _blocks, _check_inputs
+from .model import ModelParams, _check_inputs, _each_block
 
 PHASE_SWITCH_MODES = ("at_half_rounds", "on_convergence")
 
@@ -154,9 +154,12 @@ def pseudo_label(
     # Each hidden row keeps its top probability and its argmax, block by block.
     confidence, predicted = np.empty(hidden.size), np.empty(hidden.size, dtype=np.int64)
     features = _check_inputs(model_phase1, dataset.features)
-    for block, probs in _blocks(model_phase1, features, hidden):
+
+    def keep(block, probs):
         np.maximum.reduce(probs, axis=1, out=confidence[block])
         np.argmax(probs, axis=1, out=predicted[block])
+
+    _each_block(model_phase1, features, hidden, keep)
     confident = confidence >= threshold
     filled = hidden[confident]
 

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import fedsem as fs
 from fedsem.data import write_text
 from fedsem.errors import ConfigError, CsvParseError
+
+from conftest import canonical_federation
 
 
 class TestGenerateSynthetic:
@@ -438,6 +441,25 @@ class TestDatasetArrays:
     def test_lossy_integer_and_bool_casts_rejected(self, build, field):
         with pytest.raises(ConfigError, match=field):
             build()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("hidden_dims", lambda v: canonical_federation(hidden_dims=(float(v),))),
+            ("train_indices", lambda v: fs.ClientShard(0, np.array([0.0, v]))),
+            ("test_indices", lambda v: fs.ClientShard(0, [0], np.array([v]))),
+            ("labels", lambda v: fs.Dataset(np.zeros((2, 2)), np.array([0.0, v]), [1, 1], 2)),
+        ],
+        ids=["hidden_dims", "train_indices", "test_indices", "labels"],
+    )
+    def test_non_finite_integer_value_rejected_without_warning(self, field, build, value):
+        # NaN and inf have no integer value: a bare cast raises ValueError or
+        # OverflowError, or warns "invalid value encountered in cast".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^{field}: casting to int64"):
+                build(value)
 
     def test_exact_integer_and_bool_casts_accepted(self):
         ds = fs.Dataset(np.zeros((2, 2)), [1.0, 0.0], np.array([1, 0]), 2, pseudo_mask=[0.0, 0.0])
