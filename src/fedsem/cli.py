@@ -91,8 +91,8 @@ def _report(config: ExperimentConfig, result):
         "local_epochs": fed.local_epochs,
         "rounds": fed.rounds,
     }
+    history = result.history
     if config.fedsem is not None:
-        history = result.history
         payload = dict(
             common,
             mode="fedsem",
@@ -109,7 +109,6 @@ def _report(config: ExperimentConfig, result):
             model_phase2_sha256=_params_digest(result.model_phase2),
         )
     else:
-        history = result.history
         payload = dict(
             common,
             mode="fedavg",
@@ -242,13 +241,14 @@ def cmd_sweep(args) -> int:
                 stage, config = f"cell {slug}", cells[slug]
                 history, payload = _report(config, result)
                 _write_outputs(out_root / "cells" / slug, history, payload, config.output.formats)
+                gain = "" if payload["gain"] is None else f"{payload['gain']:.6f}"
                 rows.append(
                     f"{payload['labeled_percent']:g},{payload['rounds']},{payload['local_epochs']},"
                     f"{config.federation.master_seed},{payload['accuracy_phase1']:.6f},"
-                    f"{payload['accuracy_phase2']:.6f},{payload['gain']:.6f}"
+                    f"{payload['accuracy_phase2']:.6f},{gain}"
                 )
                 if not args.quiet:
-                    print(f"cell {slug}: gain {payload['gain']:.6f}")
+                    print(f"cell {slug}: gain {gain or 'n/a'}")
         stage = "writing sweep.csv"
         write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
     except Exception as exc:

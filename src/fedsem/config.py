@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
-from .data import MASK_MODES, PartitionSpec
+from .data import MASK_MODES, PartitionSpec, _integer
 from .errors import ConfigError
 from .federation import FederationConfig
 from .metrics import HISTORY_FORMATS
@@ -72,16 +72,14 @@ class DatasetConfig:
         if self.source == "csv" and not self.path:
             raise ConfigError("dataset.path is required when dataset.source = csv")
         if self.source == "synthetic":
-            if self.classes < 2:
-                raise ConfigError(f"dataset.classes must be >= 2, got {self.classes}")
+            _integer("dataset.classes", self.classes, 2)
+            _integer("dataset.samples", self.samples, 0)
             if self.samples < self.classes:
                 raise ConfigError("dataset.samples must be >= dataset.classes")
-            if self.dim < 2:
-                raise ConfigError(f"dataset.dim must be >= 2, got {self.dim}")
+            _integer("dataset.dim", self.dim, 2)
             if not 0 < self.separation < math.inf:
                 raise ConfigError(f"dataset.separation must be finite and > 0, got {self.separation}")
-        if self.seed < 0:
-            raise ConfigError("dataset.seed must be non-negative")
+        _integer("dataset.seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,7 @@ class LabelConfig:
             )
         if self.mask_mode not in MASK_MODES:
             raise ConfigError(f"unknown labels.mask_mode {self.mask_mode!r}")
-        if self.mask_seed < 0:
-            raise ConfigError("labels.mask_seed must be non-negative")
+        _integer("labels.mask_seed", self.mask_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ class OutputConfig:
             raise ConfigError("output.formats must list at least one format")
         for fmt in self.formats:
             if fmt not in HISTORY_FORMATS:
-                raise ConfigError(f"unknown output format {fmt!r}, expected {HISTORY_FORMATS}")
+                raise ConfigError(f"unknown output.formats entry {fmt!r}, expected {HISTORY_FORMATS}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,7 @@ def build_config(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
     if "rounds" not in fed_keys:
         raise ConfigError("missing required key federation.rounds")
     seed = fed_keys.get("master_seed", FederationConfig.master_seed)
-    if seed < 0:
-        raise ConfigError(f"federation.master_seed must be non-negative, got {seed}")
+    _integer("federation.master_seed", seed, 0)
     dataset = DatasetConfig(**_section(raw, "dataset", seed=seed))
     partition = PartitionSpec(**_section(raw, "partition", scheme="iid", num_clients=20, seed=seed))
     labels = LabelConfig(**_section(raw, "labels", mask_seed=seed))

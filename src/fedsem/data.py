@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import operator
 import os
 import weakref
 from dataclasses import dataclass, replace
@@ -57,6 +58,19 @@ def _frozen(arr, dtype, name: str) -> np.ndarray:
     return _freeze(copy)
 
 
+def _integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject ``value`` unless it has ``__index__`` (no float does) and lies in [low, high]."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= value <= high:
+        raise ConfigError(f"{name} must be in [{low}, {high}], got {value}")
+    if value < low:
+        bound = "non-negative" if low == 0 else f">= {low}"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix, integer labels, and a per-sample visibility mask.
@@ -96,8 +110,7 @@ class Dataset:
         for start in range(0, n, step):
             if not np.isfinite(features[start : start + step]).all():
                 raise ConfigError("features contain non-finite values")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        _integer("num_classes", self.num_classes, 2)
         shown = labels[visible]
         if shown.size and (shown.min() < 0 or shown.max() >= self.num_classes):
             raise ConfigError("visible labels must lie in [0, num_classes)")
@@ -127,8 +140,7 @@ class ClientShard:
         train = _frozen(np.atleast_1d(self.train_indices), np.int64, "train_indices")
         test = np.empty(0) if self.test_indices is None else np.atleast_1d(self.test_indices)
         test = _frozen(test, np.int64, "test_indices")
-        if self.client_id < 0:
-            raise ConfigError(f"client_id must be non-negative, got {self.client_id}")
+        _integer("client_id", self.client_id, 0)
         if test.size and np.intersect1d(train, test).size:
             raise ConfigError(f"client {self.client_id}: train and test indices overlap")
         object.__setattr__(self, "train_indices", train)
@@ -156,12 +168,10 @@ class PartitionSpec:
     def __post_init__(self):
         if self.scheme not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {self.scheme!r}")
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.seed < 0:
-            raise ConfigError("partition seed must be non-negative")
-        if self.scheme == "shards" and (self.shards_per_client is None or self.shards_per_client < 1):
-            raise ConfigError("shards scheme requires shards_per_client >= 1")
+        _integer("num_clients", self.num_clients, 1)
+        _integer("partition seed", self.seed, 0)
+        if self.scheme == "shards":
+            _integer("shards_per_client", self.shards_per_client, 1)
         if self.scheme == "dirichlet" and not 0 < (self.alpha or 0) < math.inf:
             raise ConfigError(f"dirichlet scheme requires a finite alpha > 0, got {self.alpha}")
 
@@ -179,16 +189,14 @@ def generate_synthetic(
     samples get unit-covariance noise. Labels are assigned round-robin,
     so class counts are balanced within one sample.
     """
-    if num_classes < 2:
-        raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
+    _integer("num_classes", num_classes, 2)
+    _integer("n_samples", n_samples, 0)
     if n_samples < num_classes:
         raise ConfigError(f"need at least one sample per class ({n_samples} < {num_classes})")
-    if dim < 2:
-        raise ConfigError(f"dim must be >= 2, got {dim}")
+    _integer("dim", dim, 2)
     if not 0 < class_separation < math.inf:
         raise ConfigError(f"class_separation must be finite and > 0, got {class_separation}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
     centers *= class_separation / np.linalg.norm(centers, axis=1, keepdims=True)

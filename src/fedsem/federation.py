@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _freeze, _frozen, one_hot
+from .data import ClientShard, Dataset, _freeze, _frozen, _integer, one_hot
 from .errors import ConfigError, RoundFailure, ShapeError, TrainingDivergence
 from .metrics import RoundRecord
 from .model import (
@@ -55,31 +55,22 @@ class FederationConfig:
     def __post_init__(self):
         dims = _frozen(self.hidden_dims, np.int64, "hidden_dims")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in dims))
-        if self.num_clients < 1:
-            raise ConfigError(f"num_clients must be >= 1, got {self.num_clients}")
-        if not 1 <= self.clients_per_round <= self.num_clients:
-            raise ConfigError(
-                f"clients_per_round must be in [1, {self.num_clients}], "
-                f"got {self.clients_per_round}"
-            )
-        if self.rounds < 0:
-            raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
-        if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        _integer("num_clients", self.num_clients, 1)
+        _integer("clients_per_round", self.clients_per_round, 1, self.num_clients)
+        _integer("rounds", self.rounds, 0)
+        _integer("local_epochs", self.local_epochs, 1)
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        _integer("batch_size", self.batch_size, 1)
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(
                 f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATIONS}"
             )
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
-        if any(d < 1 for d in self.hidden_dims):
-            raise ConfigError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
+        _integer("master_seed", self.master_seed, 0)
+        for width in self.hidden_dims:
+            _integer("hidden_dims", width, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +82,7 @@ class ClientUpdate:
     num_samples: int
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
+        _integer("num_samples", self.num_samples, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +297,7 @@ def fedavg_run(
     ``dataset`` in place.
     """
     n_rounds = config.rounds if rounds is None else rounds
-    if n_rounds < 0:
-        raise ConfigError(f"rounds must be non-negative, got {n_rounds}")
+    _integer("rounds", n_rounds, 0)
     if start is None:
         start = ServerState(initial_params(config, dataset), round=0)
     if not n_rounds:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .data import write_text
+from .data import _integer, write_text
 
 PHASES = ("phase1", "phase2")
 HISTORY_HEADER = "round,phase,test_accuracy,test_loss,participants"
@@ -32,8 +32,7 @@ class RoundRecord:
             raise ValueError(f"test_accuracy out of [0, 1]: {self.test_accuracy}")
         if not (math.isfinite(self.test_loss) and self.test_loss >= 0.0):
             raise ValueError(f"test_loss must be finite and non-negative: {self.test_loss}")
-        if self.round < 0:
-            raise ValueError("round must be non-negative")
+        _integer("round", self.round, 0)
         if not self.participant_ids:
             raise ValueError("a round must have at least one participant")
 
@@ -83,7 +82,8 @@ def render_summary(payload: dict) -> str:
 
     A fedsem run is one table row with the gain as a percent, half-up to
     0.1; its gain must match its accuracies, since ``fedsem report`` reads
-    the payload back from disk. A fedavg run is its rounds and best accuracy.
+    the payload back from disk. A null gain, rendered ``n/a``, matches only
+    an accuracy of 0. A fedavg run is its rounds and best accuracy.
     """
     if payload.get("mode") != "fedsem":
         best = payload["best_accuracy"]
@@ -93,9 +93,11 @@ def render_summary(payload: dict) -> str:
             f"best test accuracy: {'n/a' if best is None else format(best, '.6f')}\n"
         )
     acc1, acc2, stated = payload["accuracy_phase1"], payload["accuracy_phase2"], payload["gain"]
-    if abs(stated - gain(acc1, acc2)) > 1e-12:
-        raise ValueError(f"gain {stated} inconsistent with accuracies ({acc1}, {acc2})")
-    percent = Decimal(repr(stated * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+    percent = "n/a"
+    if stated is not None or 0.0 not in (acc1, acc2):
+        if stated is None or abs(stated - gain(acc1, acc2)) > 1e-12:
+            raise ValueError(f"gain {stated} inconsistent with accuracies ({acc1}, {acc2})")
+        percent = Decimal(repr(stated * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
     return (
         "two-phase run summary (gain rendered as percent, rounded half-up to one decimal)\n\n"
         f"{'labeled_percent':>15}  {'rounds':>6}  {'epochs':>6}  "

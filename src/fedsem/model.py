@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import all_cpus
-from .data import _freeze, _frozen
+from .data import _freeze, _frozen, _integer
 from .errors import ConfigError, ShapeError, TrainingDivergence
 
 PROB_FLOOR = 1e-12
@@ -40,7 +40,7 @@ STACK_CLIENTS = 10
 
 
 def _check_dims(layer_dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in layer_dims)
+    dims = tuple(int(d) for d in _frozen(layer_dims, np.int64, "layer_dims"))
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ConfigError(f"layer_dims must list >= 2 positive sizes, got {dims}")
     return dims
@@ -164,8 +164,7 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in SOLVERS:
             raise ConfigError(f"unknown solver {self.kind!r}, expected one of {SOLVERS}")
-        if self.step_count < 0:
-            raise ConfigError("step_count must be non-negative")
+        _integer("step_count", self.step_count, 0)
         if self.kind == "adam" and (self.first_moment is None or self.second_moment is None):
             raise ConfigError("adam state requires first and second moments")
 
@@ -413,10 +412,8 @@ def train_local(
         raise ShapeError("every start model of a cohort needs the same layer_dims")
     if sum(sizes) != len(samples):
         raise ShapeError(f"client sizes sum to {sum(sizes)}, but the batch has {len(samples)} rows")
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    _integer("epochs", epochs, 1)
+    _integer("batch_size", batch_size, 1)
     if lr < 0:
         raise ConfigError(f"learning rate must be non-negative, got {lr}")
     if solver not in SOLVERS:

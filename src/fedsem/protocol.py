@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, _freeze
+from .data import Dataset, _freeze, _integer
 from .errors import ConfigError, ShapeError
 from .federation import FederationConfig, ServerState, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
@@ -38,15 +38,14 @@ class FedSemConfig:
     pseudo_label_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.federation.rounds < 2:
-            raise ConfigError("a two-phase run needs rounds >= 2")
+        _integer("rounds of a two-phase run", self.federation.rounds, 2)
         if self.phase_switch not in PHASE_SWITCH_MODES:
             raise ConfigError(
                 f"unknown phase_switch {self.phase_switch!r}, "
                 f"expected one of {PHASE_SWITCH_MODES}"
             )
-        if self.phase_switch == "on_convergence" and self.convergence_window < 2:
-            raise ConfigError("convergence_window must be >= 2 for on_convergence")
+        on_convergence = self.phase_switch == "on_convergence"
+        _integer("convergence_window", self.convergence_window, 2 if on_convergence else 1)
         if not 0 <= self.convergence_epsilon < math.inf:
             raise ConfigError("convergence_epsilon must be finite and >= 0")
         if not 0.0 <= self.pseudo_label_threshold <= 1.0:
@@ -59,9 +58,9 @@ class ExperimentResult:
 
     ``accuracy_phase1``, ``accuracy_phase2`` and ``gain`` are derived from
     ``history`` on construction: each phase's best test accuracy, and
-    :func:`~fedsem.metrics.gain` of the two. ``pseudo_label_accuracy``
-    compares the assigned pseudo-labels against the oracle ground truth
-    and is None when no pseudo-labels were assigned.
+    :func:`~fedsem.metrics.gain` of the two, None if either is 0.
+    ``pseudo_label_accuracy`` compares the assigned pseudo-labels against
+    the oracle ground truth and is None when no pseudo-labels were assigned.
     """
 
     model_phase1: ModelParams
@@ -70,7 +69,7 @@ class ExperimentResult:
     pseudo_label_accuracy: float | None
     accuracy_phase1: float = field(init=False)
     accuracy_phase2: float = field(init=False)
-    gain: float = field(init=False)
+    gain: float | None = field(init=False)
 
     def __post_init__(self):
         if self.pseudo_label_accuracy is not None and not 0.0 <= self.pseudo_label_accuracy <= 1.0:
@@ -80,11 +79,13 @@ class ExperimentResult:
             if not accuracies:
                 raise ValueError(f"history has no {phase} record")
             object.__setattr__(self, f"accuracy_{phase}", max(accuracies))
-        object.__setattr__(self, "gain", gain(self.accuracy_phase1, self.accuracy_phase2))
+        best = (self.accuracy_phase1, self.accuracy_phase2)
+        object.__setattr__(self, "gain", None if 0.0 in best else gain(*best))
 
 
 def converged(history, window: int, epsilon: float) -> bool:
     """True once the last ``window`` test accuracies span at most ``epsilon``."""
+    _integer("window", window, 1)
     records = list(history)
     if len(records) < window:
         return False
@@ -197,8 +198,7 @@ def _phase2(start: ServerState, dataset: Dataset, config: FedSemConfig, shards):
     """:func:`run_phase2` as a run continuing ``start``; returns the final state."""
     fed = config.federation
     budget = fed.rounds - start.round
-    if budget < 1:
-        raise ConfigError(f"no phase-2 round budget left after {start.round} rounds")
+    _integer("phase-2 round budget", budget, 1)
     return (yield from fedavg_run(
         fed, shards, dataset, rounds=budget, start=start, phase="phase2",
         stop=_stop_rule(config),

@@ -8,12 +8,19 @@ tuples, and the result depends only on the tuple, never on scheduling.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import ConfigError
 
 
 def derive_seed(*parts: int) -> int:
     """Collapse non-negative integer parts into one stable 64-bit seed."""
-    entropy = [int(p) for p in parts]
+    try:
+        entropy = [operator.index(p) for p in parts]
+    except TypeError:
+        raise ConfigError(f"seed parts must be integers, got {parts}") from None
     if any(p < 0 for p in entropy):
-        raise ValueError(f"seed parts must be non-negative, got {entropy}")
+        raise ConfigError(f"seed parts must be non-negative, got {entropy}")
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 import fedsem as fs
+from fedsem import cli
 from fedsem.cli import main
 
 CANONICAL_INI = Path(__file__).resolve().parents[1] / "configs" / "canonical.ini"
+# Twenty samples over ten clients leave two test rows. With seeds 3, 5 and 6
+# neither phase's model ever labels one right: both best accuracies are 0.
+ZERO_ACCURACY = [
+    "--config", str(CANONICAL_INI),
+    "--override", "dataset.samples=20", "--override", "partition.num_clients=10",
+    "--override", "partition.scheme=iid", "--override", "federation.clients_per_round=2",
+    "--override", "federation.rounds=2", "--override", "federation.learning_rate=0.0001",
+]
 
 BASE_CONFIG = """
 [dataset]
@@ -144,7 +153,7 @@ class TestRun:
         [
             (["run", "--seed", "-1"], "federation.master_seed must be non-negative, got -1"),
             (["sweep", "--axis", "seed=-1"], "federation.master_seed must be non-negative, got -1"),
-            (["run", "--override", "dataset.seed=-1"], "dataset.seed must be non-negative"),
+            (["run", "--override", "dataset.seed=-1"], "dataset.seed must be non-negative, got -1"),
         ],
         ids=["run-seed", "sweep-seed", "dataset-seed"],
     )
@@ -154,6 +163,70 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, outcome",
+        [
+            # An empty list gives a linear softmax model: input width to class count.
+            ("federation.hidden_dims=", (16, 10)),
+            ("dataset.has_header=no", (16, 48, 10)),
+            (
+                "dataset.has_header=maybe",
+                "invalid value for dataset.has_header: 'maybe' (expected a boolean, got 'maybe')",
+            ),
+            ("output.formats=", "output.formats must list at least one format"),
+            (
+                "output.formats=xml",
+                "unknown output.formats entry 'xml', expected ('csv', 'json')",
+            ),
+            ("labels.mask_mode=none", "unknown labels.mask_mode 'none'"),
+            (
+                "dataset.source=parquet",
+                "dataset.source must be one of ('synthetic', 'csv'), got 'parquet'",
+            ),
+            ("dataset.source=csv", "dataset.path is required when dataset.source = csv"),
+        ],
+        ids=[
+            "hidden_dims-empty", "has_header-no", "has_header-maybe", "formats-empty",
+            "formats-xml", "mask_mode-none", "source-parquet", "source-csv-without-path",
+        ],
+    )
+    def test_setting_trains_its_model_or_exits_2(
+        self, tmp_path, capsys, monkeypatch, override, outcome
+    ):
+        # outcome: the layer sizes the run trains, or the configuration error it prints.
+        trained = []
+
+        def run_fedsem(*args):
+            trained.append(fs.run_fedsem(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(cli, "run_fedsem", run_fedsem)
+        out = tmp_path / "o"
+        code = main([
+            "run", "--config", str(CANONICAL_INI), "--out", str(out), "--quiet",
+            "--override", "federation.rounds=2", "--override", override,
+        ])
+        err = capsys.readouterr().err
+        if isinstance(outcome, tuple):
+            assert (code, err) == (0, "")
+            assert [r.model_phase2.layer_dims for r in trained] == [outcome]
+        else:
+            assert (code, err) == (2, f"configuration error: {outcome}\n")
+            assert not out.exists()
+
+    def test_zero_best_accuracy_has_no_gain(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", *ZERO_ACCURACY, "--seed", "3", "--out", str(out), "--quiet"]) == 0
+        payload = json.loads((out / "result.json").read_text())
+        assert (payload["accuracy_phase1"], payload["accuracy_phase2"]) == (0.0, 0.0)
+        assert payload["gain"] is None
+        summary = (out / "summary.txt").read_bytes()
+        assert summary.decode().splitlines()[3].split()[-1] == "n/a"
+        # report renders the same summary from result.json alone.
+        (out / "summary.txt").unlink()
+        assert main(["report", "--result", str(out), "--quiet"]) == 0
+        assert (out / "summary.txt").read_bytes() == summary
 
     def test_override_beats_file(self, write_config, tmp_path):
         config = write_config()
@@ -343,6 +416,15 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
         alone = ["run", "--config", str(CANONICAL_INI), "--quiet", *overrides, "--seed", "4"]
         assert main([*alone, "--out", str(tmp_path / "seed-4")]) == 0
+
+    def test_cell_without_gain_leaves_field_empty(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", *ZERO_ACCURACY, "--axis", "seed=3,4", "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows[0] == "20,2,10,3,0.000000,0.000000,"
+        assert rows[1].startswith("20,2,10,4,") and not rows[1].endswith(",")
+        assert json.loads((out / "cells" / "seed-3" / "result.json").read_text())["gain"] is None
+        assert "cell seed-3: gain n/a\n" in capsys.readouterr().out
 
     def test_no_axes_exit_2(self, write_config, capsys):
         assert main(["sweep", "--config", str(write_config()), "--quiet"]) == 2

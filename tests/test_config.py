@@ -1,12 +1,15 @@
 """Experiment-file parsing: strict keys, defaults, overrides, exact parsed configs."""
 
+import functools
 import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fedsem as fs
 from fedsem.config import (
     _SCHEMA,
     DatasetConfig,
@@ -22,8 +25,9 @@ from fedsem.data import PartitionSpec, generate_synthetic
 from fedsem.federation import FederationConfig
 from fedsem.protocol import FedSemConfig
 from fedsem.errors import ConfigError
+from fedsem.seeding import derive_seed
 
-from conftest import canonical_federation
+from conftest import canonical_federation, make_records
 
 MINIMAL = """
 [federation]
@@ -294,6 +298,55 @@ class TestSchema:
             config_from(MINIMAL, overrides=[f"{dotted}=3"])
 
 
+# Each integer setting a library caller passes, as (test id, field, call that sets it to v).
+INTEGER_SETTINGS = [
+    ("num_clients", "num_clients", lambda v: canonical_federation(num_clients=v)),
+    ("clients_per_round", "clients_per_round", lambda v: canonical_federation(clients_per_round=v)),
+    ("rounds", "rounds", lambda v: canonical_federation(rounds=v)),
+    ("local_epochs", "local_epochs", lambda v: canonical_federation(local_epochs=v)),
+    ("batch_size", "batch_size", lambda v: canonical_federation(batch_size=v)),
+    ("master_seed", "master_seed", lambda v: canonical_federation(master_seed=v)),
+    ("num_samples", "num_samples", lambda v: fs.ClientUpdate(0, fs.init_params((2, 2), 0), v)),
+    ("fedavg_run-rounds", "rounds", lambda v: next(
+        fs.fedavg_run(canonical_federation(), [], None, rounds=v)
+    )),
+    ("partition-num_clients", "num_clients", lambda v: PartitionSpec("iid", v)),
+    ("partition-seed", "partition seed", lambda v: PartitionSpec("iid", 3, seed=v)),
+    ("shards_per_client", "shards_per_client", lambda v: PartitionSpec(
+        "shards", 3, shards_per_client=v
+    )),
+    ("Dataset-num_classes", "num_classes", lambda v: fs.Dataset(
+        np.zeros((2, 2)), [0, 1], [True, True], v
+    )),
+    ("client_id", "client_id", lambda v: fs.ClientShard(v, [0, 1])),
+    ("generate-num_classes", "num_classes", lambda v: generate_synthetic(60, v, 4, 2.0, seed=1)),
+    ("generate-n_samples", "n_samples", lambda v: generate_synthetic(v, 2, 4, 2.0, seed=1)),
+    ("generate-dim", "dim", lambda v: generate_synthetic(60, 3, v, 2.0, seed=1)),
+    ("generate-seed", "seed", lambda v: generate_synthetic(60, 3, 4, 2.0, seed=v)),
+    ("dataset.samples", "dataset.samples", lambda v: DatasetConfig(samples=v, classes=2)),
+    ("dataset.classes", "dataset.classes", lambda v: DatasetConfig(classes=v)),
+    ("dataset.dim", "dataset.dim", lambda v: DatasetConfig(dim=v)),
+    ("dataset.seed", "dataset.seed", lambda v: DatasetConfig(seed=v)),
+    ("labels.mask_seed", "labels.mask_seed", lambda v: LabelConfig(mask_seed=v)),
+    ("federation.master_seed", "federation.master_seed", lambda v: config_from(
+        MINIMAL, overrides=[f"federation.master_seed={v}"]
+    )),
+    ("convergence_window", "convergence_window", lambda v: FedSemConfig(
+        canonical_federation(), convergence_window=v
+    )),
+    ("converged-window", "window", lambda v: fs.converged([], window=v, epsilon=0.1)),
+    ("train_local-epochs", "epochs", lambda v: fs.train_local(
+        fs.init_params((2, 2), 0), fs.Batch(np.zeros((2, 2)), np.eye(2)), v, 1, 0.1
+    )),
+    ("train_local-batch_size", "batch_size", lambda v: fs.train_local(
+        fs.init_params((2, 2), 0), fs.Batch(np.zeros((2, 2)), np.eye(2)), 1, v, 0.1
+    )),
+    ("step_count", "step_count", lambda v: fs.OptimizerState("sgd", step_count=v)),
+    ("round", "round", lambda v: fs.RoundRecord(v, "phase1", 0.5, 1.0, (0,))),
+    ("derive_seed", "seed parts", lambda v: derive_seed(v, 0)),
+]
+
+
 class TestLibraryConstructors:
     # Library callers skip the experiment file's casts, so each constructor
     # must itself reject a non-finite or non-integral setting and name it.
@@ -313,16 +366,42 @@ class TestLibraryConstructors:
             ("dataset.separation", lambda: DatasetConfig(separation=math.inf)),
             ("class_separation", lambda: generate_synthetic(60, 3, 4, math.nan, seed=1)),
             ("class_separation", lambda: generate_synthetic(60, 3, 4, math.inf, seed=1)),
+            ("layer_dims", lambda: fs.init_params((5, 2.5, 4), 0)),
+            ("layer_dims", lambda: fs.ModelParams.unflatten((5, 2.5, 4), np.zeros(24))),
+            # A scalar integer setting rejects every float, 2.0 included.
+            *[
+                (field, functools.partial(build, v))
+                for _, field, build in INTEGER_SETTINGS
+                for v in (2.5, 2.0)
+            ],
         ],
         ids=[
             "alpha-nan", "alpha-inf", "convergence_epsilon-nan", "learning_rate-nan",
             "learning_rate-inf", "hidden_dims-2.7", "separation-nan", "separation-inf",
-            "class_separation-nan", "class_separation-inf",
+            "class_separation-nan", "class_separation-inf", "init_params-layer_dims-2.5",
+            "unflatten-layer_dims-2.5",
+            *[f"{name}-{v}" for name, _, _ in INTEGER_SETTINGS for v in (2.5, 2.0)],
         ],
     )
     def test_non_finite_or_non_integral_setting_rejected(self, field, build):
         with pytest.raises(ConfigError, match=re.escape(field)):
             build()
+
+    def test_layer_width_below_one_rejected(self):
+        with pytest.raises(ConfigError, match=r"^hidden_dims must be >= 1, got 0$"):
+            canonical_federation(hidden_dims=(4, 0))
+
+    def test_integer_like_settings_accepted(self):
+        # Anything with __index__ is an integer; a sequence keeps exact float values.
+        fed = canonical_federation(
+            rounds=np.int64(3), clients_per_round=True, master_seed=np.int64(7),
+            hidden_dims=(2.0,),
+        )
+        assert (fed.rounds, fed.clients_per_round, fed.hidden_dims) == (3, 1, (2,))
+        assert derive_seed(np.int64(3), True) == derive_seed(3, 1)
+        assert PartitionSpec("shards", np.int64(4), shards_per_client=True).shards_per_client
+        assert fs.init_params((np.int64(5), 2.0, 4), 0).layer_dims == (5, 2, 4)
+        assert fs.converged(make_records([0.5]), window=True, epsilon=0.0)
 
 
 class TestShippedCanonicalConfig:

@@ -153,6 +153,12 @@ class TestRenderSummary:
         with pytest.raises(ValueError, match="inconsistent"):
             fs.render_summary(fedsem_payload(0.73, 0.78, gain=0.5))
 
+    def test_null_gain_only_beside_a_zero_accuracy(self):
+        payload = dict(fedsem_payload(0.73, 0.78), gain=None)
+        with pytest.raises(ValueError, match="inconsistent"):
+            fs.render_summary(payload)
+        assert fs.render_summary(dict(payload, accuracy_phase1=0.0)).endswith(" n/a\n")
+
     def test_zero_round_fedavg_is_not_available(self):
         payload = {"mode": "fedavg", "rounds": 0, "best_accuracy": None}
         text = fs.render_summary(payload)
