@@ -19,7 +19,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
-from .data import MASK_MODES, PartitionSpec, _integer
+from .data import MASK_MODES, PartitionSpec, _choice, _integer, _real
 from .errors import ConfigError
 from .federation import FederationConfig
 from .metrics import HISTORY_FORMATS
@@ -67,8 +67,7 @@ class DatasetConfig:
     has_header: bool = False
 
     def __post_init__(self):
-        if self.source not in DATASET_SOURCES:
-            raise ConfigError(f"dataset.source must be one of {DATASET_SOURCES}, got {self.source!r}")
+        _choice("dataset.source", self.source, DATASET_SOURCES)
         if self.source == "csv" and not self.path:
             raise ConfigError("dataset.path is required when dataset.source = csv")
         if self.source == "synthetic":
@@ -77,8 +76,7 @@ class DatasetConfig:
             if self.samples < self.classes:
                 raise ConfigError("dataset.samples must be >= dataset.classes")
             _integer("dataset.dim", self.dim, 2)
-            if not 0 < self.separation < math.inf:
-                raise ConfigError(f"dataset.separation must be finite and > 0, got {self.separation}")
+            _real("dataset.separation", self.separation, "(0, inf)")
         _integer("dataset.seed", self.seed, 0)
 
 
@@ -89,12 +87,8 @@ class LabelConfig:
     mask_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.labeled_fraction <= 1.0:
-            raise ConfigError(
-                f"labels.labeled_fraction must be in (0, 1], got {self.labeled_fraction}"
-            )
-        if self.mask_mode not in MASK_MODES:
-            raise ConfigError(f"unknown labels.mask_mode {self.mask_mode!r}")
+        _real("labels.labeled_fraction", self.labeled_fraction, "(0, 1]")
+        _choice("labels.mask_mode", self.mask_mode, MASK_MODES)
         _integer("labels.mask_seed", self.mask_seed, 0)
 
 
@@ -107,8 +101,7 @@ class OutputConfig:
         if not self.formats:
             raise ConfigError("output.formats must list at least one format")
         for fmt in self.formats:
-            if fmt not in HISTORY_FORMATS:
-                raise ConfigError(f"unknown output.formats entry {fmt!r}, expected {HISTORY_FORMATS}")
+            _choice("output.formats", fmt, HISTORY_FORMATS)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 import operator
 import os
 import weakref
@@ -58,8 +59,8 @@ def _frozen(arr, dtype, name: str) -> np.ndarray:
     return _freeze(copy)
 
 
-def _integer(name: str, value, low: int, high: int | None = None) -> None:
-    """Reject ``value`` unless it has ``__index__`` (no float does) and lies in [low, high]."""
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int``, if it has ``__index__`` (no float does) and is in [low, high]."""
     try:
         operator.index(value)
     except TypeError:
@@ -69,6 +70,25 @@ def _integer(name: str, value, low: int, high: int | None = None) -> None:
     if value < low:
         bound = "non-negative" if low == 0 else f">= {low}"
         raise ConfigError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
+def _choice(name: str, value, options) -> None:
+    """Reject ``value`` unless it is one of ``options``."""
+    if value not in options:
+        raise ConfigError(f"{name} must be one of {options}, got {value!r}")
+
+
+def _real(name: str, value, interval: str) -> None:
+    """Reject ``value`` unless it is a finite real number in ``interval``, such as ``"(0, 1]"``."""
+    low, high = map(float, interval[1:-1].split(","))
+    if not (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and (low < value or (interval[0] == "[" and low == value))
+        and (value < high or (interval[-1] == "]" and value == high))
+    ):
+        raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +186,13 @@ class PartitionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scheme not in PARTITION_SCHEMES:
-            raise ConfigError(f"unknown partition scheme {self.scheme!r}")
+        _choice("partition scheme", self.scheme, PARTITION_SCHEMES)
         _integer("num_clients", self.num_clients, 1)
         _integer("partition seed", self.seed, 0)
         if self.scheme == "shards":
             _integer("shards_per_client", self.shards_per_client, 1)
-        if self.scheme == "dirichlet" and not 0 < (self.alpha or 0) < math.inf:
-            raise ConfigError(f"dirichlet scheme requires a finite alpha > 0, got {self.alpha}")
+        if self.scheme == "dirichlet":
+            _real("alpha", self.alpha, "(0, inf)")
 
 
 def generate_synthetic(
@@ -194,8 +213,7 @@ def generate_synthetic(
     if n_samples < num_classes:
         raise ConfigError(f"need at least one sample per class ({n_samples} < {num_classes})")
     _integer("dim", dim, 2)
-    if not 0 < class_separation < math.inf:
-        raise ConfigError(f"class_separation must be finite and > 0, got {class_separation}")
+    _real("class_separation", class_separation, "(0, inf)")
     _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
@@ -353,8 +371,7 @@ def split_train_test(
     seed: int = 0,
 ) -> list[ClientShard]:
     """Per-client seeded shuffle and split; test gets floor((1-ratio)*n), min 1."""
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"train ratio must be in (0, 1), got {ratio}")
+    _real("ratio", ratio, "(0, 1)")
     out = []
     for shard in shards:
         allocation = shard.all_indices
@@ -392,10 +409,8 @@ def mask_labels(
     union of all training indices. Test labels always remain visible:
     they serve evaluation only and are never trained on.
     """
-    if not 0.0 < labeled_fraction <= 1.0:
-        raise ConfigError(f"labeled_fraction must be in (0, 1], got {labeled_fraction}")
-    if mode not in MASK_MODES:
-        raise ConfigError(f"unknown mask mode {mode!r}, expected one of {MASK_MODES}")
+    _real("labeled_fraction", labeled_fraction, "(0, 1]")
+    _choice("mask mode", mode, MASK_MODES)
     visible = np.array(dataset.label_visible, copy=True)
 
     def keep(rng: np.random.Generator, train: np.ndarray) -> None:
@@ -417,6 +432,7 @@ def mask_labels(
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
     """Row j carries a single 1 at column labels[j]."""
+    _integer("num_classes", num_classes, 1)
     arr = np.asarray(labels)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {arr.dtype}")

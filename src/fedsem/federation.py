@@ -15,14 +15,13 @@ call, and every blocking entry point here is the one-run case.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _freeze, _frozen, _integer, one_hot
-from .errors import ConfigError, RoundFailure, ShapeError, TrainingDivergence
+from .data import ClientShard, Dataset, _choice, _freeze, _frozen, _integer, _real, one_hot
+from .errors import RoundFailure, ShapeError, TrainingDivergence
 from .metrics import RoundRecord
 from .model import (
     Batch,
@@ -59,15 +58,10 @@ class FederationConfig:
         _integer("clients_per_round", self.clients_per_round, 1, self.num_clients)
         _integer("rounds", self.rounds, 0)
         _integer("local_epochs", self.local_epochs, 1)
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        _real("learning_rate", self.learning_rate, "(0, inf)")
         _integer("batch_size", self.batch_size, 1)
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(
-                f"unknown aggregation {self.aggregation!r}, expected one of {AGGREGATIONS}"
-            )
+        _choice("solver", self.solver, SOLVERS)
+        _choice("aggregation", self.aggregation, AGGREGATIONS)
         _integer("master_seed", self.master_seed, 0)
         for width in self.hidden_dims:
             _integer("hidden_dims", width, 1)
@@ -82,6 +76,7 @@ class ClientUpdate:
     num_samples: int
 
     def __post_init__(self):
+        _integer("client_id", self.client_id, 0)
         _integer("num_samples", self.num_samples, 1)
 
 
@@ -231,8 +226,7 @@ def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
     updates = list(updates)
     if not updates:
         raise ValueError("cannot aggregate zero updates")
-    if scheme not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {scheme!r}, expected one of {AGGREGATIONS}")
+    _choice("aggregation", scheme, AGGREGATIONS)
     ordered = sorted(updates, key=lambda u: u.client_id)
     for prev, u in zip(ordered, ordered[1:]):
         if prev.client_id == u.client_id:

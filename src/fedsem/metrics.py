@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .data import _integer, write_text
+from .data import _choice, _integer, write_text
 
 PHASES = ("phase1", "phase2")
 HISTORY_HEADER = "round,phase,test_accuracy,test_loss,participants"
@@ -25,7 +25,8 @@ class RoundRecord:
     participant_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "participant_ids", tuple(int(i) for i in self.participant_ids))
+        ids = tuple(_integer("participant_ids", i, 0) for i in self.participant_ids)
+        object.__setattr__(self, "participant_ids", ids)
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}, expected one of {PHASES}")
         if not 0.0 <= self.test_accuracy <= 1.0:
@@ -62,8 +63,7 @@ def _record_row(r: RoundRecord) -> dict:
 
 def export_history(history, path, fmt: str = "csv") -> None:
     """Write round records as CSV or JSON; byte-identical per history."""
-    if fmt not in HISTORY_FORMATS:
-        raise ValueError(f"unknown history format {fmt!r}, expected one of {HISTORY_FORMATS}")
+    _choice("history format", fmt, HISTORY_FORMATS)
     rows = [_record_row(r) for r in history]
     if fmt == "csv":
         lines = [HISTORY_HEADER] + [

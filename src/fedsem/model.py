@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import all_cpus
-from .data import _freeze, _frozen, _integer
+from .data import _choice, _freeze, _frozen, _integer, _real
 from .errors import ConfigError, ShapeError, TrainingDivergence
 
 PROB_FLOOR = 1e-12
@@ -162,8 +162,7 @@ class OptimizerState:
     second_moment: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.kind!r}, expected one of {SOLVERS}")
+        _choice("solver", self.kind, SOLVERS)
         _integer("step_count", self.step_count, 0)
         if self.kind == "adam" and (self.first_moment is None or self.second_moment is None):
             raise ConfigError("adam state requires first and second moments")
@@ -180,6 +179,7 @@ def init_optimizer(kind: str, params: ModelParams) -> OptimizerState:
 def init_params(layer_dims, seed: int) -> ModelParams:
     """Seeded fan-in-scaled normal weights (std sqrt(2/fan_in)), zero biases."""
     dims = _check_dims(layer_dims)
+    _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -347,8 +347,7 @@ def optimizer_step(
     lr: float,
 ) -> tuple[ModelParams, OptimizerState]:
     """One parameter update; returns the new params and advanced state."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
+    _real("lr", lr, "(0, inf)")
     if grad.layer_dims != params.layer_dims:
         raise ShapeError(f"gradient dims {grad.layer_dims} do not match params {params.layer_dims}")
     t = state.step_count + 1
@@ -376,8 +375,7 @@ def train_local(
 
     Each epoch reshuffles the sample order with a generator seeded by
     ``rng_seed ^ epoch_index``; a final short batch is trained on rather
-    than dropped. The input ``params`` object is never modified. A zero
-    learning rate is the identity (every step would subtract zero).
+    than dropped. The input ``params`` object is never modified.
     Training raises :class:`TrainingDivergence`, a ``ValueError``, without
     numpy warnings, at the first step that leaves a non-finite parameter.
 
@@ -399,8 +397,9 @@ def train_local(
     that diverged at it. One client is the same code with ``C = 1``.
     """
     cohort = sizes is not None
-    sizes = [int(s) for s in sizes] if cohort else [len(samples)]
-    seeds = [int(s) for s in rng_seed] if cohort and np.ndim(rng_seed) else [rng_seed]
+    sizes = [_integer("sizes", s, 0) for s in sizes] if cohort else [len(samples)]
+    seeds = list(rng_seed) if cohort and np.ndim(rng_seed) else [rng_seed]
+    seeds = [_integer("rng_seed", s, 0) for s in seeds]
     starts = [params] * len(sizes) if isinstance(params, ModelParams) else list(params)
     if not sizes or min(sizes) < 1:
         raise ValueError("every client needs at least one training sample")
@@ -414,12 +413,10 @@ def train_local(
         raise ShapeError(f"client sizes sum to {sum(sizes)}, but the batch has {len(samples)} rows")
     _integer("epochs", epochs, 1)
     _integer("batch_size", batch_size, 1)
-    if lr < 0:
-        raise ConfigError(f"learning rate must be non-negative, got {lr}")
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
+    _real("lr", lr, "(0, inf)")
+    _choice("solver", solver, SOLVERS)
     inputs = _check_batch(starts[0], samples)
-    trained = starts if lr == 0 else _lockstep(
+    trained = _lockstep(
         starts, inputs, samples.targets, sizes, seeds, epochs, batch_size, lr, solver
     )
     return tuple(trained) if cohort else trained[0]

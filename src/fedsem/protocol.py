@@ -13,13 +13,12 @@ Each phase, and the whole experiment (:func:`fedsem_run`), is a run for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, _freeze, _integer
-from .errors import ConfigError, ShapeError
+from .data import Dataset, _choice, _freeze, _integer, _real
+from .errors import ShapeError
 from .federation import FederationConfig, ServerState, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
 from .model import ModelParams, _check_inputs, _each_block
@@ -39,17 +38,11 @@ class FedSemConfig:
 
     def __post_init__(self):
         _integer("rounds of a two-phase run", self.federation.rounds, 2)
-        if self.phase_switch not in PHASE_SWITCH_MODES:
-            raise ConfigError(
-                f"unknown phase_switch {self.phase_switch!r}, "
-                f"expected one of {PHASE_SWITCH_MODES}"
-            )
+        _choice("phase_switch", self.phase_switch, PHASE_SWITCH_MODES)
         on_convergence = self.phase_switch == "on_convergence"
         _integer("convergence_window", self.convergence_window, 2 if on_convergence else 1)
-        if not 0 <= self.convergence_epsilon < math.inf:
-            raise ConfigError("convergence_epsilon must be finite and >= 0")
-        if not 0.0 <= self.pseudo_label_threshold <= 1.0:
-            raise ConfigError("pseudo_label_threshold must be in [0, 1]")
+        _real("convergence_epsilon", self.convergence_epsilon, "[0, inf)")
+        _real("pseudo_label_threshold", self.pseudo_label_threshold, "[0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +137,7 @@ def pseudo_label(
     ``pseudo_mask``; the rest stay hidden and excluded from training.
     The input dataset (the ground-truth oracle) is never modified.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    _real("threshold", threshold, "[0, 1]")
     if dataset.num_classes != model_phase1.layer_dims[-1]:
         raise ShapeError(
             f"dataset has {dataset.num_classes} classes but the model outputs "

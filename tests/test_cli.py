@@ -175,11 +175,11 @@ class TestRun:
                 "invalid value for dataset.has_header: 'maybe' (expected a boolean, got 'maybe')",
             ),
             ("output.formats=", "output.formats must list at least one format"),
+            ("output.formats=xml", "output.formats must be one of ('csv', 'json'), got 'xml'"),
             (
-                "output.formats=xml",
-                "unknown output.formats entry 'xml', expected ('csv', 'json')",
+                "labels.mask_mode=none",
+                "labels.mask_mode must be one of ('per_client', 'global'), got 'none'",
             ),
-            ("labels.mask_mode=none", "unknown labels.mask_mode 'none'"),
             (
                 "dataset.source=parquet",
                 "dataset.source must be one of ('synthetic', 'csv'), got 'parquet'",

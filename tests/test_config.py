@@ -12,6 +12,7 @@ import pytest
 import fedsem as fs
 from fedsem.config import (
     _SCHEMA,
+    DATASET_SOURCES,
     DatasetConfig,
     ExperimentConfig,
     LabelConfig,
@@ -21,9 +22,10 @@ from fedsem.config import (
     load_config,
     parse_config_text,
 )
-from fedsem.data import PartitionSpec, generate_synthetic
+from fedsem.data import MASK_MODES, PARTITION_SCHEMES, PartitionSpec, generate_synthetic
 from fedsem.federation import FederationConfig
-from fedsem.protocol import FedSemConfig
+from fedsem.metrics import HISTORY_FORMATS
+from fedsem.protocol import PHASE_SWITCH_MODES, FedSemConfig
 from fedsem.errors import ConfigError
 from fedsem.seeding import derive_seed
 
@@ -298,6 +300,16 @@ class TestSchema:
             config_from(MINIMAL, overrides=[f"{dotted}=3"])
 
 
+TINY_MODEL = fs.init_params((2, 2), 0)
+# Two rows; the second row's label is hidden.
+TINY_DATASET = fs.Dataset(np.zeros((2, 2)), [0, 1], [True, False], 2)
+
+
+def train_tiny(*args, **kwargs):
+    """train_local of TINY_MODEL on two rows; the rest of the arguments follow the batch."""
+    return fs.train_local(TINY_MODEL, fs.Batch(np.zeros((2, 2)), np.eye(2)), *args, **kwargs)
+
+
 # Each integer setting a library caller passes, as (test id, field, call that sets it to v).
 INTEGER_SETTINGS = [
     ("num_clients", "num_clients", lambda v: canonical_federation(num_clients=v)),
@@ -335,15 +347,87 @@ INTEGER_SETTINGS = [
         canonical_federation(), convergence_window=v
     )),
     ("converged-window", "window", lambda v: fs.converged([], window=v, epsilon=0.1)),
-    ("train_local-epochs", "epochs", lambda v: fs.train_local(
-        fs.init_params((2, 2), 0), fs.Batch(np.zeros((2, 2)), np.eye(2)), v, 1, 0.1
+    ("train_local-epochs", "epochs", lambda v: train_tiny(v, 1, 0.1)),
+    ("train_local-batch_size", "batch_size", lambda v: train_tiny(1, v, 0.1)),
+    ("train_local-sizes", "sizes", lambda v: train_tiny(1, 1, 0.1, rng_seed=[0], sizes=[v])),
+    ("train_local-rng_seed", "rng_seed", lambda v: train_tiny(1, 1, 0.1, rng_seed=v)),
+    ("train_local-cohort-rng_seed", "rng_seed", lambda v: train_tiny(
+        1, 1, 0.1, rng_seed=[v, 2], sizes=[1, 1]
     )),
-    ("train_local-batch_size", "batch_size", lambda v: fs.train_local(
-        fs.init_params((2, 2), 0), fs.Batch(np.zeros((2, 2)), np.eye(2)), 1, v, 0.1
+    ("init_params-seed", "seed", lambda v: fs.init_params((2, 2), seed=v)),
+    ("update-client_id", "client_id", lambda v: fs.ClientUpdate(v, TINY_MODEL, 1)),
+    ("participant_ids", "participant_ids", lambda v: fs.RoundRecord(
+        0, "phase1", 0.5, 1.0, (v,)
     )),
+    ("one_hot-num_classes", "num_classes", lambda v: fs.one_hot([0, 1], v)),
     ("step_count", "step_count", lambda v: fs.OptimizerState("sgd", step_count=v)),
     ("round", "round", lambda v: fs.RoundRecord(v, "phase1", 0.5, 1.0, (0,))),
     ("derive_seed", "seed parts", lambda v: derive_seed(v, 0)),
+]
+
+# Each real setting, as (test id, field, interval, call that sets it to v, values outside).
+REAL_SETTINGS = [
+    ("learning_rate", "learning_rate", "(0, inf)", lambda v: canonical_federation(
+        learning_rate=v
+    ), (0.0, -1.0)),
+    ("optimizer_step-lr", "lr", "(0, inf)", lambda v: fs.optimizer_step(
+        TINY_MODEL, TINY_MODEL, fs.init_optimizer("sgd", TINY_MODEL), v
+    ), (0.0,)),
+    ("train_local-lr", "lr", "(0, inf)", lambda v: train_tiny(1, 1, v), (0.0, -1.0)),
+    ("train_local-cohort-lr", "lr", "(0, inf)", lambda v: train_tiny(
+        1, 1, v, rng_seed=[1, 2], sizes=[1, 1]
+    ), (0.0,)),
+    ("convergence_epsilon", "convergence_epsilon", "[0, inf)", lambda v: FedSemConfig(
+        canonical_federation(), convergence_epsilon=v
+    ), (-0.01,)),
+    ("pseudo_label_threshold", "pseudo_label_threshold", "[0, 1]", lambda v: FedSemConfig(
+        canonical_federation(), pseudo_label_threshold=v
+    ), (-0.1, 1.5)),
+    ("pseudo_label-threshold", "threshold", "[0, 1]", lambda v: fs.pseudo_label(
+        TINY_MODEL, TINY_DATASET, v
+    ), (-0.1, 1.5)),
+    ("alpha", "alpha", "(0, inf)", lambda v: PartitionSpec("dirichlet", 3, alpha=v), (0.0, None)),
+    ("dataset.separation", "dataset.separation", "(0, inf)", lambda v: DatasetConfig(
+        separation=v
+    ), (0.0,)),
+    ("class_separation", "class_separation", "(0, inf)", lambda v: generate_synthetic(
+        60, 3, 4, v, seed=1
+    ), (0.0,)),
+    ("labels.labeled_fraction", "labels.labeled_fraction", "(0, 1]", lambda v: LabelConfig(
+        labeled_fraction=v
+    ), (0.0, 1.5)),
+    ("mask_labels-labeled_fraction", "labeled_fraction", "(0, 1]", lambda v: fs.mask_labels(
+        TINY_DATASET, [], v
+    ), (0.0, 1.5)),
+    ("split-ratio", "ratio", "(0, 1)", lambda v: fs.split_train_test([], ratio=v), (0.0, 1.0)),
+]
+
+# Each named-option setting, as (test id, field, options, call that sets it to v).
+CHOICE_SETTINGS = [
+    ("solver", "solver", fs.SOLVERS, lambda v: canonical_federation(solver=v)),
+    ("aggregation", "aggregation", fs.AGGREGATIONS, lambda v: canonical_federation(
+        aggregation=v
+    )),
+    ("OptimizerState-solver", "solver", fs.SOLVERS, lambda v: fs.OptimizerState(v)),
+    ("train_local-solver", "solver", fs.SOLVERS, lambda v: train_tiny(1, 1, 0.1, solver=v)),
+    ("aggregate-scheme", "aggregation", fs.AGGREGATIONS, lambda v: fs.aggregate(
+        [fs.ClientUpdate(0, TINY_MODEL, 1)], v
+    )),
+    ("partition-scheme", "partition scheme", PARTITION_SCHEMES, lambda v: PartitionSpec(v, 3)),
+    ("mask_labels-mode", "mask mode", MASK_MODES, lambda v: fs.mask_labels(
+        TINY_DATASET, [], 0.5, mode=v
+    )),
+    ("labels.mask_mode", "labels.mask_mode", MASK_MODES, lambda v: LabelConfig(mask_mode=v)),
+    ("dataset.source", "dataset.source", DATASET_SOURCES, lambda v: DatasetConfig(source=v)),
+    ("phase_switch", "phase_switch", PHASE_SWITCH_MODES, lambda v: FedSemConfig(
+        canonical_federation(), phase_switch=v
+    )),
+    ("output.formats", "output.formats", HISTORY_FORMATS, lambda v: OutputConfig(
+        formats=("csv", v)
+    )),
+    ("export_history-format", "history format", HISTORY_FORMATS, lambda v: fs.export_history(
+        [], "never-written.csv", v
+    )),
 ]
 
 
@@ -386,6 +470,41 @@ class TestLibraryConstructors:
     def test_non_finite_or_non_integral_setting_rejected(self, field, build):
         with pytest.raises(ConfigError, match=re.escape(field)):
             build()
+
+    @pytest.mark.parametrize(
+        "field, interval, build, value",
+        [
+            (field, interval, build, v)
+            for _, field, interval, build, outside in REAL_SETTINGS
+            for v in (math.nan, math.inf, *outside)
+        ],
+        ids=[
+            f"{name}-{v}"
+            for name, _, _, _, outside in REAL_SETTINGS
+            for v in (math.nan, math.inf, *outside)
+        ],
+    )
+    def test_real_setting_outside_its_interval_rejected(self, field, interval, build, value):
+        message = f"{field} must be a finite number in {interval}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(value)
+
+    @pytest.mark.parametrize(
+        "field, options, build",
+        [(field, options, build) for _, field, options, build in CHOICE_SETTINGS],
+        ids=[name for name, _, _, _ in CHOICE_SETTINGS],
+    )
+    def test_unknown_option_rejected(self, field, options, build):
+        message = f"{field} must be one of {options}, got 'rmsprop'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build("rmsprop")
+
+    def test_real_settings_take_their_closed_bounds_and_any_real_type(self):
+        fedsem = FedSemConfig(
+            canonical_federation(learning_rate=np.float32(0.5)), convergence_epsilon=0,
+            pseudo_label_threshold=1,
+        )
+        assert (fedsem.convergence_epsilon, fedsem.pseudo_label_threshold) == (0, 1)
 
     def test_layer_width_below_one_rejected(self):
         with pytest.raises(ConfigError, match=r"^hidden_dims must be >= 1, got 0$"):

@@ -214,11 +214,6 @@ class TestTrainLocal:
         rng = np.random.default_rng(seed)
         return fs.Batch(rng.normal(size=(n, dims[0])), fs.one_hot(rng.integers(0, dims[-1], n), dims[-1]))
 
-    def test_zero_lr_is_identity(self):
-        params = fs.init_params([5, 4, 3], seed=1)
-        out = fs.train_local(params, self.batch(), epochs=3, batch_size=4, lr=0.0, solver="sgd")
-        assert params_equal(out, params)
-
     def test_full_batch_single_epoch_equals_one_step(self):
         params = fs.init_params([5, 4, 3], seed=2)
         batch = self.batch(seed=2)
@@ -610,11 +605,6 @@ class TestCohortMatchesPerClient:
         params, batch = random_model_and_batch(24, batch_rows=6)
         with pytest.raises(error):
             fs.train_local(params, batch, 1, 4, 0.1, rng_seed=seeds, sizes=sizes)
-
-    def test_zero_lr_returns_the_input_per_client(self):
-        params, batch = random_model_and_batch(25, batch_rows=6)
-        trained = fs.train_local(params, batch, 2, 4, 0.0, rng_seed=[1, 2], sizes=[2, 4])
-        assert trained == (params, params)
 
 
 def reference_forward(params, inputs):
