@@ -74,13 +74,6 @@ def _prepare_data(config: ExperimentConfig):
     return masked, shards
 
 
-def _execute(config: ExperimentConfig, dataset, shards):
-    """Run one experiment; returns (history, result payload)."""
-    if config.fedsem is not None:
-        return _report(config, run_fedsem(config.fedsem, shards, dataset))
-    return _report(config, run_fedavg(config.federation, shards, dataset))
-
-
 def _report(config: ExperimentConfig, result):
     """(history, result payload) of a fedsem ``ExperimentResult`` or a fedavg ``ServerState``."""
     fed = config.federation
@@ -137,7 +130,7 @@ def cmd_generate(args) -> int:
     try:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        save_csv(dataset, out, header=False)
+        save_csv(dataset, out)
         meta = {
             "d": args.dim,
             "generator": "unit-direction-gaussian-blobs-v1",
@@ -170,7 +163,11 @@ def cmd_run(args) -> int:
         started = time.perf_counter()
         dataset, shards = _prepare_data(config)
         stage = "training"
-        history, payload = _execute(config, dataset, shards)
+        if config.fedsem is not None:
+            result = run_fedsem(config.fedsem, shards, dataset)
+        else:
+            result = run_fedavg(config.federation, shards, dataset)
+        history, payload = _report(config, result)
         stage = "writing outputs"
         summary_text = _write_outputs(out_dir, history, payload, config.output.formats)
         elapsed = time.perf_counter() - started

@@ -191,7 +191,7 @@ class PartitionSpec:
         _integer("partition seed", self.seed, 0)
         if self.scheme == "shards":
             _integer("shards_per_client", self.shards_per_client, 1)
-        if self.scheme == "dirichlet":
+        if self.scheme == "dirichlet" or self.alpha is not None:
             _real("alpha", self.alpha, "(0, inf)")
 
 
@@ -282,11 +282,9 @@ def load_csv(path, num_classes: int, has_header: bool = False) -> Dataset:
     )
 
 
-def save_csv(dataset: Dataset, path, header: bool = False) -> None:
-    """Write the CSV form of a dataset; feature reprs round-trip exactly."""
+def save_csv(dataset: Dataset, path) -> None:
+    """Write the headerless CSV form of a dataset; feature reprs round-trip exactly."""
     lines = []
-    if header:
-        lines.append(",".join([f"f{i + 1}" for i in range(dataset.dim)] + ["label"]))
     for row, label in zip(dataset.features, dataset.labels):
         lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
     write_text(path, "\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClientShard, Dataset, _choice, _freeze, _frozen, _integer, _real, one_hot
-from .errors import RoundFailure, ShapeError, TrainingDivergence
+from .errors import ConfigError, RoundFailure, ShapeError, TrainingDivergence
 from .metrics import RoundRecord
 from .model import (
     Batch,
@@ -87,13 +87,6 @@ class ServerState:
     global_params: ModelParams
     round: int
     history: tuple[RoundRecord, ...] = ()
-
-
-def _round_order(master_seed: int, round_index: int, eligible) -> list[int]:
-    """Seeded permutation of eligible client ids for one round."""
-    ids = sorted(int(c) for c in set(eligible))
-    rng = np.random.default_rng(derive_seed(master_seed, round_index))
-    return [ids[i] for i in rng.permutation(len(ids))]
 
 
 def training_view(shard: ClientShard, dataset: Dataset) -> np.ndarray:
@@ -284,11 +277,13 @@ def fedavg_run(
     """:func:`run_fedavg` as a run for :func:`run_lockstep`; returns the final state.
 
     Continues ``start`` (default: the seeded initial model at round 0).
-    Each round yields a :class:`Cohort` in the round's seeded client order,
-    replacing each client whose :func:`training_view` is empty by the next id
+    Each round yields a :class:`Cohort` in the round's seeded order, a
+    permutation of the shards sorted by client id, replacing each client
+    whose :func:`training_view` is empty by the next one
     (:class:`RoundFailure` when every view is empty), then averages the
     updates it is sent and scores the new model on the test rows of
-    ``dataset`` in place.
+    ``dataset`` in place. Two shards with one client id are a
+    :class:`ConfigError`.
     """
     n_rounds = config.rounds if rounds is None else rounds
     _integer("rounds", n_rounds, 0)
@@ -297,16 +292,20 @@ def fedavg_run(
     if not n_rounds:
         return start
     params, new = start.global_params, []
+    shards = sorted(shards, key=lambda s: s.client_id)
     test_rows = _evaluation_rows(shards)
-    by_id = {s.client_id: s for s in shards}
+    for prev, shard in zip(shards, shards[1:]):
+        if prev.client_id == shard.client_id:
+            raise ConfigError(f"two shards with client id {shard.client_id}")
     for index in range(start.round, start.round + n_rounds):
         cohort = []
-        for cid in _round_order(config.master_seed, index, by_id.keys()):
+        rng = np.random.default_rng(derive_seed(config.master_seed, index))
+        for i in rng.permutation(len(shards)):
             if len(cohort) == config.clients_per_round:
                 break
-            view = training_view(by_id[cid], dataset)
+            view = training_view(shards[i], dataset)
             if view.size:
-                cohort.append((by_id[cid], view))
+                cohort.append((shards[i], view))
         if not cohort:
             raise RoundFailure(f"round {index} ({phase}): every eligible client skipped")
         updates = yield Cohort(params, tuple(cohort), dataset, config, index, phase)

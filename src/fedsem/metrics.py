@@ -83,9 +83,11 @@ def render_summary(payload: dict) -> str:
     A fedsem run is one table row with the gain as a percent, half-up to
     0.1; its gain must match its accuracies, since ``fedsem report`` reads
     the payload back from disk. A null gain, rendered ``n/a``, matches only
-    an accuracy of 0. A fedavg run is its rounds and best accuracy.
+    an accuracy of 0. A fedavg run is its rounds and best accuracy. Any
+    other ``mode`` is a :class:`~fedsem.errors.ConfigError`.
     """
-    if payload.get("mode") != "fedsem":
+    _choice("mode", payload.get("mode"), ("fedsem", "fedavg"))
+    if payload["mode"] == "fedavg":
         best = payload["best_accuracy"]
         return (
             "single-phase federated run\n"

@@ -79,6 +79,7 @@ class ExperimentResult:
 def converged(history, window: int, epsilon: float) -> bool:
     """True once the last ``window`` test accuracies span at most ``epsilon``."""
     _integer("window", window, 1)
+    _real("epsilon", epsilon, "[0, inf)")
     records = list(history)
     if len(records) < window:
         return False

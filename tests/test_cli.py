@@ -144,8 +144,8 @@ class TestRun:
                      "--override", "fedsem.convergence_epsilon=nan"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "configuration error: invalid value for fedsem.convergence_epsilon: "
-            "'nan' (expected a finite number)\n"
+            "configuration error: convergence_epsilon must be a finite number in [0, inf), "
+            "got nan\n"
         )
 
     @pytest.mark.parametrize(
@@ -266,6 +266,23 @@ class TestRun:
         )
         assert main(["run", "--config", str(path)]) == 1
         assert "data setup" in capsys.readouterr().err
+
+    def test_csv_source_checks_its_class_count_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert main(["generate", "--classes", "3", "--samples", "60", "--dim", "4",
+                     "--out", str(data), "--quiet"]) == 0
+        path = tmp_path / "csv.ini"
+        path.write_text(
+            f"[dataset]\nsource = csv\npath = {data}\nclasses = 3\n\n[federation]\nrounds = 2\n"
+        )
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(path), "--out", str(out), "--quiet",
+                     "--override", "dataset.classes=1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: dataset.classes must be >= 2, got 1\n"
+        )
+        assert not out.exists()
 
     def test_divergence_exit_1(self, tmp_path, capsys):
         code = main([
@@ -510,8 +527,11 @@ class TestReport:
         bad_gain = dict(payload, gain=payload["gain"] + 0.01)
         # json.dumps writes NaN as a bare token, which strict JSON does not allow.
         nan = dict(payload, accuracy_phase1=math.nan, accuracy_phase2=math.nan, gain=math.nan)
+        # A fedavg payload whose mode is misspelt or missing must not render as fedavg.
+        fedavg = {"rounds": 4, "best_accuracy": 0.5}
         for name, bad in (("list.json", []), ("string.json", bad_phase1), ("gain.json", bad_gain),
-                          ("nan.json", nan)):
+                          ("nan.json", nan), ("misspelt-mode.json", dict(fedavg, mode="fedsam")),
+                          ("no-mode.json", fedavg)):
             path = tmp_path / name
             path.write_text(json.dumps(bad))
             capsys.readouterr()

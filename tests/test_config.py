@@ -188,18 +188,18 @@ class TestParsing:
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="federation.rounds"):
             config_from("[federation]\nrounds = soon\n")
-        # Non-finite floats would slip past range checks written as x <= 0.
-        for dotted in (
-            "dataset.separation",
-            "partition.alpha",
-            "labels.labeled_fraction",
-            "federation.learning_rate",
-            "fedsem.convergence_epsilon",
-            "fedsem.pseudo_label_threshold",
+        # Every float key is checked, even where the run does not read it (alpha under iid).
+        for dotted, field, interval in (
+            ("dataset.separation", "dataset.separation", "(0, inf)"),
+            ("partition.alpha", "alpha", "(0, inf)"),
+            ("labels.labeled_fraction", "labels.labeled_fraction", "(0, 1]"),
+            ("federation.learning_rate", "learning_rate", "(0, inf)"),
+            ("fedsem.convergence_epsilon", "convergence_epsilon", "[0, inf)"),
+            ("fedsem.pseudo_label_threshold", "pseudo_label_threshold", "[0, 1]"),
         ):
             for value in ("nan", "inf", "-inf", "1e400"):
-                pattern = re.escape(f"invalid value for {dotted}: {value!r} (")
-                with pytest.raises(ConfigError, match=pattern):
+                message = f"{field} must be a finite number in {interval}, got {float(value)!r}"
+                with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                     config_from(MINIMAL, overrides=[f"{dotted}={value}"])
 
     def test_invalid_enum_rejected(self):
@@ -387,8 +387,14 @@ REAL_SETTINGS = [
         TINY_MODEL, TINY_DATASET, v
     ), (-0.1, 1.5)),
     ("alpha", "alpha", "(0, inf)", lambda v: PartitionSpec("dirichlet", 3, alpha=v), (0.0, None)),
+    ("alpha-shards", "alpha", "(0, inf)", lambda v: PartitionSpec(
+        "shards", 3, shards_per_client=1, alpha=v
+    ), (0.0, -1.0)),
     ("dataset.separation", "dataset.separation", "(0, inf)", lambda v: DatasetConfig(
         separation=v
+    ), (0.0,)),
+    ("dataset.separation-csv", "dataset.separation", "(0, inf)", lambda v: DatasetConfig(
+        source="csv", path="data.csv", separation=v
     ), (0.0,)),
     ("class_separation", "class_separation", "(0, inf)", lambda v: generate_synthetic(
         60, 3, 4, v, seed=1
@@ -400,6 +406,9 @@ REAL_SETTINGS = [
         TINY_DATASET, [], v
     ), (0.0, 1.5)),
     ("split-ratio", "ratio", "(0, 1)", lambda v: fs.split_train_test([], ratio=v), (0.0, 1.0)),
+    ("converged-epsilon", "epsilon", "[0, inf)", lambda v: fs.converged(
+        make_records([0.5, 0.5]), 2, v
+    ), (-1.0,)),
 ]
 
 # Each named-option setting, as (test id, field, options, call that sets it to v).

@@ -411,6 +411,14 @@ class TestRunFedavg:
         with pytest.raises(ValueError, match="no test indices"):
             fs.run_fedavg(config, unsplit, dataset, rounds=1)
 
+    def test_shards_sharing_a_client_id_rejected(self):
+        # Keeping one shard per id would silently never train the other's rows.
+        masked, shards = tiny_pipeline(num_clients=4)
+        shards[1] = dataclasses.replace(shards[1], client_id=0)
+        config = tiny_federation(num_clients=4, clients_per_round=4)
+        with pytest.raises(ConfigError, match="^two shards with client id 0$"):
+            fs.run_fedavg(config, shards, masked)
+
     def test_bit_identical_reruns(self):
         masked, shards = tiny_pipeline()
         config = tiny_federation()
