@@ -74,8 +74,8 @@ def _prepare_data(config: ExperimentConfig):
     return masked, shards
 
 
-def _report(config: ExperimentConfig, result):
-    """(history, result payload) of a fedsem ``ExperimentResult`` or a fedavg ``ServerState``."""
+def _payload(config: ExperimentConfig, result) -> dict:
+    """The result payload of a fedsem ``ExperimentResult`` or a fedavg ``ServerState``."""
     fed = config.federation
     common = {
         "clients": fed.num_clients,
@@ -110,19 +110,20 @@ def _report(config: ExperimentConfig, result):
             final_test_loss=history[-1].test_loss if history else None,
             model_sha256=_params_digest(result.global_params),
         )
-    return history, payload
+    return payload
 
 
-def _write_outputs(out_dir: Path, history, payload, formats) -> str:
-    """Write every run artifact, result.json last; returns the summary text."""
+def _write_outputs(out_dir: Path, config: ExperimentConfig, result) -> tuple[dict, str]:
+    """Write every artifact of one run, result.json last; returns (payload, summary text)."""
+    payload = _payload(config, result)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
-        export_history(history, out_dir / f"history.{fmt}", fmt)
+    for fmt in config.output.formats:
+        export_history(result.history, out_dir / f"history.{fmt}", fmt)
     summary_text = render_summary(payload)
     write_text(out_dir / "summary.txt", summary_text)
     result_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     write_text(out_dir / "result.json", result_text + "\n")
-    return summary_text
+    return payload, summary_text
 
 
 def cmd_generate(args) -> int:
@@ -167,9 +168,8 @@ def cmd_run(args) -> int:
             result = run_fedsem(config.fedsem, shards, dataset)
         else:
             result = run_fedavg(config.federation, shards, dataset)
-        history, payload = _report(config, result)
         stage = "writing outputs"
-        summary_text = _write_outputs(out_dir, history, payload, config.output.formats)
+        _, summary_text = _write_outputs(out_dir, config, result)
         elapsed = time.perf_counter() - started
     except Exception as exc:
         return _failure(stage, exc)
@@ -236,8 +236,7 @@ def cmd_sweep(args) -> int:
                 raise
             for slug, result in zip(group, results):
                 stage, config = f"cell {slug}", cells[slug]
-                history, payload = _report(config, result)
-                _write_outputs(out_root / "cells" / slug, history, payload, config.output.formats)
+                payload, _ = _write_outputs(out_root / "cells" / slug, config, result)
                 gain = "" if payload["gain"] is None else f"{payload['gain']:.6f}"
                 rows.append(
                     f"{payload['labeled_percent']:g},{payload['rounds']},{payload['local_epochs']},"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 
 from .data import MASK_MODES, PartitionSpec, _choice, _integer, _real
 from .errors import ConfigError
@@ -36,15 +37,10 @@ def _cast_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _cast_int_tuple(raw: str) -> tuple[int, ...]:
+def _cast_tuple(item: Callable[[str], object], raw: str) -> tuple:
+    """A comma list: an empty value is ``()``, else every part goes through ``item``."""
     text = raw.strip()
-    if not text:
-        return ()
-    return tuple(int(part.strip()) for part in text.split(","))
-
-
-def _cast_str_tuple(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+    return tuple(item(part.strip()) for part in text.split(",")) if text else ()
 
 
 @dataclass(frozen=True)
@@ -64,11 +60,10 @@ class DatasetConfig:
             raise ConfigError("dataset.path is required when dataset.source = csv")
         _integer("dataset.classes", self.classes, 2)
         _real("dataset.separation", self.separation, "(0, inf)")
-        if self.source == "synthetic":
-            _integer("dataset.samples", self.samples, 0)
-            if self.samples < self.classes:
-                raise ConfigError("dataset.samples must be >= dataset.classes")
-            _integer("dataset.dim", self.dim, 2)
+        _integer("dataset.samples", self.samples, 0)
+        if self.source == "synthetic" and self.samples < self.classes:
+            raise ConfigError("dataset.samples must be >= dataset.classes")
+        _integer("dataset.dim", self.dim, 2)
         _integer("dataset.seed", self.seed, 0)
 
 
@@ -111,8 +106,8 @@ _CASTS: dict[str, Callable[[str], object]] = {
     "float": float,
     "bool": _cast_bool,
     "str": str,
-    "tuple[int, ...]": _cast_int_tuple,
-    "tuple[str, ...]": _cast_str_tuple,
+    "tuple[int, ...]": partial(_cast_tuple, int),
+    "tuple[str, ...]": partial(_cast_tuple, str),
 }
 # Not keys: [partition] sets the client count; [federation] is FedSemConfig's.
 _NOT_KEYS = ("federation.num_clients", "fedsem.federation")

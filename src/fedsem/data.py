@@ -189,7 +189,7 @@ class PartitionSpec:
         _choice("partition scheme", self.scheme, PARTITION_SCHEMES)
         _integer("num_clients", self.num_clients, 1)
         _integer("partition seed", self.seed, 0)
-        if self.scheme == "shards":
+        if self.scheme == "shards" or self.shards_per_client is not None:
             _integer("shards_per_client", self.shards_per_client, 1)
         if self.scheme == "dirichlet" or self.alpha is not None:
             _real("alpha", self.alpha, "(0, inf)")

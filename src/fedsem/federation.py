@@ -282,8 +282,8 @@ def fedavg_run(
     whose :func:`training_view` is empty by the next one
     (:class:`RoundFailure` when every view is empty), then averages the
     updates it is sent and scores the new model on the test rows of
-    ``dataset`` in place. Two shards with one client id are a
-    :class:`ConfigError`.
+    ``dataset`` in place. A shard count other than ``config.num_clients``,
+    or two shards with one client id, is a :class:`ConfigError`.
     """
     n_rounds = config.rounds if rounds is None else rounds
     _integer("rounds", n_rounds, 0)
@@ -293,6 +293,8 @@ def fedavg_run(
         return start
     params, new = start.global_params, []
     shards = sorted(shards, key=lambda s: s.client_id)
+    if len(shards) != config.num_clients:
+        raise ConfigError(f"{len(shards)} shards for num_clients = {config.num_clients}")
     test_rows = _evaluation_rows(shards)
     for prev, shard in zip(shards, shards[1:]):
         if prev.client_id == shard.client_id:

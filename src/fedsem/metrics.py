@@ -51,28 +51,25 @@ def gain(acc_phase1: float, acc_phase2: float) -> float:
     return (acc_phase2 - acc_phase1) / acc_phase2
 
 
-def _record_row(r: RoundRecord) -> dict:
-    return {
-        "round": r.round,
-        "phase": r.phase,
-        "test_accuracy": r.test_accuracy,
-        "test_loss": r.test_loss,
-        "participants": list(r.participant_ids),
-    }
-
-
 def export_history(history, path, fmt: str = "csv") -> None:
-    """Write round records as CSV or JSON; byte-identical per history."""
+    """Write round records as CSV or JSON; byte-identical per history.
+
+    Both formats name their columns, in order, by :data:`HISTORY_HEADER`.
+    """
     _choice("history format", fmt, HISTORY_FORMATS)
-    rows = [_record_row(r) for r in history]
     if fmt == "csv":
         lines = [HISTORY_HEADER] + [
-            f"{row['round']},{row['phase']},{row['test_accuracy']:.6f},"
-            f"{row['test_loss']:.6f},{';'.join(map(str, row['participants']))}"
-            for row in rows
+            f"{r.round},{r.phase},{r.test_accuracy:.6f},{r.test_loss:.6f},"
+            f"{';'.join(map(str, r.participant_ids))}"
+            for r in history
         ]
         text = "\n".join(lines) + "\n"
     else:
+        keys = HISTORY_HEADER.split(",")
+        rows = [
+            dict(zip(keys, (r.round, r.phase, r.test_accuracy, r.test_loss, r.participant_ids)))
+            for r in history
+        ]
         text = json.dumps(rows, indent=2) + "\n"
     write_text(path, text)
 

@@ -5,7 +5,7 @@ perceptron (ReLU hidden layers, softmax output) with exact analytic
 gradients of the mean cross-entropy loss. Values are immutable at the API:
 parameters are one read-only flat vector, and no call writes to its
 caller's arrays. Kernels work in place only in buffers they allocate per call;
-:func:`forward` runs in row blocks and gathers selected rows block by block, so
+:func:`forward` runs in row blocks and gathers each block's rows into one buffer, so
 inference holds one block per layer, and :func:`evaluate` scores dataset rows in place.
 Values are validated where they enter and leave the API, not per step:
 :func:`train_local` checks only that its private vectors stay finite.
@@ -222,48 +222,44 @@ def _forward(layers, x: np.ndarray, outs) -> np.ndarray:
     return h
 
 
-def _each_block(params: ModelParams, x: np.ndarray, rows, consume) -> None:
+def _each_block(params: ModelParams, x: np.ndarray, rows: np.ndarray, consume) -> None:
     """Call ``consume(block, probs)`` with each block of ``forward``'s softmax rows.
 
     ``x`` and ``rows`` are as :func:`forward` checks them. ``block`` is a
-    slice of the result's rows, and ``probs`` one buffer that the next block
-    overwrites. The layers run over blocks of :func:`_block_rows` rows in one
-    buffer per layer, and with ``rows`` each block gathers its own input rows
-    into one more. The last block ends at the last row, overlapping the one
-    before it, so every gemm has the same row count. A call of more than one
+    slice of ``rows``, and ``probs`` one buffer that the next block
+    overwrites. Each block gathers its input rows into one buffer, and the
+    layers run over blocks of :func:`_block_rows` rows in one buffer per
+    layer. The last block ends at the last row, overlapping the one before
+    it, so every gemm has the same row count. A call of more than one
     block runs OpenBLAS on every usable CPU (see :mod:`fedsem._blas`).
     """
-    dims, n = params.layer_dims, len(x) if rows is None else len(rows)
+    dims, n = params.layer_dims, len(rows)
     size = min(n, _block_rows(dims))
     outs = [np.empty((size, d)) for d in dims[1:]]
-    gathered = None if rows is None else np.empty((size, dims[0]))
+    gathered = np.empty((size, dims[0]))
     with all_cpus() if n > size else nullcontext():
         for start in range(0, n, size or 1):
             block = slice(min(start, n - size), min(start, n - size) + size)
-            if rows is None:
-                block_x = x[block]
-            else:
-                # On rows in [-len(x), len(x)) "wrap" equals indexing, and unlike "raise"
-                # it writes into ``gathered`` without a temporary.
-                block_x = np.take(x, rows[block], axis=0, out=gathered, mode="wrap")
+            # On rows in [-len(x), len(x)) "wrap" equals indexing, and unlike "raise"
+            # it writes into ``gathered`` without a temporary.
+            block_x = np.take(x, rows[block], axis=0, out=gathered, mode="wrap")
             consume(block, _forward((params.weights, params.biases), block_x, outs))
 
 
 def forward(params: ModelParams, inputs, rows=None) -> np.ndarray:
-    """Class probabilities, one softmax row per input row, or per entry of ``rows``.
+    """Class probabilities, one softmax row per entry of ``rows`` (default: every input row).
 
     ``rows``, a 1-d integer index array, selects input rows: the result equals
     ``forward(params, inputs[rows])`` without copying the selected rows at once.
     The layers run in row blocks, so the work buffers hold one block.
     """
     x = _check_inputs(params, inputs)
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
-            raise ShapeError(f"rows must be 1-d integer indices, got {rows.dtype} {rows.shape}")
-        if rows.size and (rows.min() < -len(x) or rows.max() >= len(x)):
-            raise IndexError(f"rows must lie in [{-len(x)}, {len(x)})")
-    probs = np.empty((len(x) if rows is None else len(rows), params.layer_dims[-1]))
+    rows = np.arange(len(x)) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
+        raise ShapeError(f"rows must be 1-d integer indices, got {rows.dtype} {rows.shape}")
+    if rows.size and (rows.min() < -len(x) or rows.max() >= len(x)):
+        raise IndexError(f"rows must lie in [{-len(x)}, {len(x)})")
+    probs = np.empty((len(rows), params.layer_dims[-1]))
     _each_block(params, x, rows, probs.__setitem__)
     return probs
 

@@ -176,6 +176,13 @@ class TestRun:
             ),
             ("output.formats=", "output.formats must list at least one format"),
             ("output.formats=xml", "output.formats must be one of ('csv', 'json'), got 'xml'"),
+            # Every part of a comma list is cast, an empty one too.
+            ("output.formats=csv,", "output.formats must be one of ('csv', 'json'), got ''"),
+            (
+                "federation.hidden_dims=48,",
+                "invalid value for federation.hidden_dims: '48,' "
+                "(invalid literal for int() with base 10: '')",
+            ),
             (
                 "labels.mask_mode=none",
                 "labels.mask_mode must be one of ('per_client', 'global'), got 'none'",
@@ -188,7 +195,8 @@ class TestRun:
         ],
         ids=[
             "hidden_dims-empty", "has_header-no", "has_header-maybe", "formats-empty",
-            "formats-xml", "mask_mode-none", "source-parquet", "source-csv-without-path",
+            "formats-xml", "formats-trailing-comma", "hidden_dims-trailing-comma",
+            "mask_mode-none", "source-parquet", "source-csv-without-path",
         ],
     )
     def test_setting_trains_its_model_or_exits_2(

@@ -327,6 +327,9 @@ INTEGER_SETTINGS = [
     ("shards_per_client", "shards_per_client", lambda v: PartitionSpec(
         "shards", 3, shards_per_client=v
     )),
+    ("shards_per_client-iid", "shards_per_client", lambda v: PartitionSpec(
+        "iid", 3, shards_per_client=v
+    )),
     ("Dataset-num_classes", "num_classes", lambda v: fs.Dataset(
         np.zeros((2, 2)), [0, 1], [True, True], v
     )),
@@ -336,8 +339,14 @@ INTEGER_SETTINGS = [
     ("generate-dim", "dim", lambda v: generate_synthetic(60, 3, v, 2.0, seed=1)),
     ("generate-seed", "seed", lambda v: generate_synthetic(60, 3, 4, 2.0, seed=v)),
     ("dataset.samples", "dataset.samples", lambda v: DatasetConfig(samples=v, classes=2)),
+    ("dataset.samples-csv", "dataset.samples", lambda v: DatasetConfig(
+        source="csv", path="data.csv", samples=v
+    )),
     ("dataset.classes", "dataset.classes", lambda v: DatasetConfig(classes=v)),
     ("dataset.dim", "dataset.dim", lambda v: DatasetConfig(dim=v)),
+    ("dataset.dim-csv", "dataset.dim", lambda v: DatasetConfig(
+        source="csv", path="data.csv", dim=v
+    )),
     ("dataset.seed", "dataset.seed", lambda v: DatasetConfig(seed=v)),
     ("labels.mask_seed", "labels.mask_seed", lambda v: LabelConfig(mask_seed=v)),
     ("federation.master_seed", "federation.master_seed", lambda v: config_from(
@@ -514,6 +523,33 @@ class TestLibraryConstructors:
             pseudo_label_threshold=1,
         )
         assert (fedsem.convergence_epsilon, fedsem.pseudo_label_threshold) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                ["dataset.source=csv", "dataset.path=x.csv", "dataset.samples=-5"],
+                "dataset.samples must be non-negative, got -5",
+            ),
+            (
+                ["dataset.source=csv", "dataset.path=x.csv", "dataset.dim=0"],
+                "dataset.dim must be >= 2, got 0",
+            ),
+            (
+                ["partition.scheme=iid", "partition.shards_per_client=0"],
+                "shards_per_client must be >= 1, got 0",
+            ),
+            (
+                ["partition.scheme=dirichlet", "partition.alpha=0.5",
+                 "partition.shards_per_client=-3"],
+                "shards_per_client must be >= 1, got -3",
+            ),
+        ],
+        ids=["csv-samples", "csv-dim", "iid-shards_per_client", "dirichlet-shards_per_client"],
+    )
+    def test_count_below_its_bound_rejected_where_unread(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from(MINIMAL, overrides=overrides)
 
     def test_layer_width_below_one_rejected(self):
         with pytest.raises(ConfigError, match=r"^hidden_dims must be >= 1, got 0$"):

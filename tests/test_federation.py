@@ -419,6 +419,15 @@ class TestRunFedavg:
         with pytest.raises(ConfigError, match="^two shards with client id 0$"):
             fs.run_fedavg(config, shards, masked)
 
+    @pytest.mark.parametrize("count, num_clients", [(4, 6), (6, 4)], ids=["fewer", "more"])
+    def test_shard_count_other_than_num_clients_rejected(self, count, num_clients):
+        # Every round would otherwise draw from the shards it has, not the clients it names.
+        masked, shards = tiny_pipeline(num_clients=count)
+        config = tiny_federation(num_clients=num_clients, clients_per_round=3)
+        message = f"^{count} shards for num_clients = {num_clients}$"
+        with pytest.raises(ConfigError, match=message):
+            fs.run_fedavg(config, shards, masked)
+
     def test_bit_identical_reruns(self):
         masked, shards = tiny_pipeline()
         config = tiny_federation()

@@ -92,6 +92,19 @@ class TestExportHistory:
              "participants": [0, 2]},
         ]
 
+    def test_json_layout(self, tmp_path):
+        # Keys in HISTORY_HEADER's order, two-space indent, one trailing newline.
+        path = tmp_path / "h.json"
+        fs.export_history(self.sample_history(), path, "json")
+        records = [
+            '    "round": 0,\n    "phase": "phase1",\n    "test_accuracy": 0.5,\n'
+            '    "test_loss": 1.25,\n    "participants": [\n      1,\n      3,\n      5\n    ]\n',
+            '    "round": 1,\n    "phase": "phase2",\n    "test_accuracy": 0.8125,\n'
+            '    "test_loss": 0.5,\n    "participants": [\n      0,\n      2\n    ]\n',
+        ]
+        expected = f"[\n  {{\n{records[0]}  }},\n  {{\n{records[1]}  }}\n]\n"
+        assert path.read_bytes() == expected.encode()
+
     def test_csv_round_trip_at_printed_precision(self, tmp_path):
         path = tmp_path / "h.csv"
         history = [
