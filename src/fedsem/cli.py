@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _cast_tuple, load_config
 from .data import generate_synthetic, load_csv, mask_labels, partition, save_csv
 from .data import split_train_test, write_text
 from .errors import ConfigError
@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_axes(axis_args) -> list[tuple[str, list[str]]]:
+def _parse_axes(axis_args) -> list[tuple[str, tuple[str, ...]]]:
     if not axis_args:
         raise ConfigError("sweep needs at least one --axis key=v1,v2,...")
     axes = {}
@@ -192,9 +192,11 @@ def _parse_axes(axis_args) -> list[tuple[str, list[str]]]:
             raise ConfigError(f"unknown sweep axis {key!r}, expected one of {sorted(SWEEP_AXES)}")
         if key in axes:
             raise ConfigError(f"sweep axis {key} repeated")
-        values = [v.strip() for v in raw_values.split(",") if v.strip()]
+        values = _cast_tuple(str, raw_values)
         if not values:
             raise ConfigError(f"axis {key} has no values")
+        if "" in values:
+            raise ConfigError(f"axis {key} has an empty value in {raw_values!r}")
         axes[key] = values
     return list(axes.items())
 

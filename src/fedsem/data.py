@@ -161,8 +161,12 @@ class ClientShard:
         test = np.empty(0) if self.test_indices is None else np.atleast_1d(self.test_indices)
         test = _frozen(test, np.int64, "test_indices")
         _integer("client_id", self.client_id, 0)
-        if test.size and np.intersect1d(train, test).size:
-            raise ConfigError(f"client {self.client_id}: train and test indices overlap")
+        # A sorted search, not np.intersect1d: numpy's set routines import numpy.ma.
+        if test.size:
+            ordered = np.sort(test)
+            at = np.searchsorted(ordered, train).clip(max=ordered.size - 1)
+            if (ordered[at] == train).any():
+                raise ConfigError(f"client {self.client_id}: train and test indices overlap")
         object.__setattr__(self, "train_indices", train)
         object.__setattr__(self, "test_indices", test)
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +481,16 @@ class TestSweep:
         code = main(["sweep", "--config", str(write_config()), "--quiet", "--axis", "epochs="])
         assert code == 2
 
+    @pytest.mark.parametrize("axis", ["seed=1,,2", "labeled_fraction=0.1,"])
+    def test_empty_axis_part_exit_2(self, write_config, tmp_path, capsys, axis):
+        config = write_config(out_dir="sweep-out")
+        assert main(["sweep", "--config", str(config), "--quiet", "--axis", axis]) == 2
+        key, raw = axis.split("=")
+        assert capsys.readouterr().err == (
+            f"configuration error: axis {key} has an empty value in {raw!r}\n"
+        )
+        assert not (tmp_path / "sweep-out").exists()
+
     @pytest.mark.parametrize(
         "axes",
         [
@@ -576,3 +589,22 @@ class TestDatasetFileWorkflow:
         )
         assert main(["run", "--config", str(config), "--quiet"]) == 0
         assert (tmp_path / "csv-out" / "result.json").exists()
+
+
+class TestImports:
+    def test_run_and_sweep_never_load_numpy_ma(self, write_config, tmp_path):
+        # pytest itself loads numpy.ma, so the commands run in a fresh interpreter.
+        run = ["run", "--config", str(CANONICAL_INI), "--override", "federation.rounds=4",
+               "--out", str(tmp_path / "run"), "--quiet"]
+        sweep = ["sweep", "--config", str(write_config()), "--axis", "epochs=1,2",
+                 "--out", str(tmp_path / "sweep"), "--quiet"]
+        script = (
+            "import json, sys\n"
+            "from fedsem.cli import main\n"
+            "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps([run, sweep])],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [[0, 0], False]

@@ -1,7 +1,8 @@
-"""Property-based laws beside the acceptance criteria: aggregation, partitions, label masks,
-lockstep runs."""
+"""Property-based laws beside the acceptance criteria: aggregation, partitions, shard
+overlap, label masks, lockstep runs."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fedsem as fs
@@ -67,6 +68,22 @@ class TestPartitionLaws:
         combined = np.concatenate([s.train_indices for s in shards])
         assert combined.size == n
         assert np.array_equal(np.sort(combined), np.arange(n))
+
+
+# Small values make repeats and overlaps common; the int64 extremes test the search's ends.
+indices = st.lists(st.integers(-8, 8) | st.integers(-(2**63), 2**63 - 1), max_size=12)
+
+
+class TestShardOverlapLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(train=indices, test=indices)
+    def test_rejects_exactly_the_shards_intersect1d_rejects(self, train, test):
+        train, test = np.array(train, dtype=np.int64), np.array(test, dtype=np.int64)
+        if np.intersect1d(train, test).size:
+            with pytest.raises(fs.ConfigError, match="client 3: train and test indices overlap"):
+                fs.ClientShard(3, train, test)
+        else:
+            fs.ClientShard(3, train, test)
 
 
 class TestMaskLaws:
