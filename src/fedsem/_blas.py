@@ -1,72 +1,83 @@
-"""Numpy's OpenBLAS threads: one by default, every usable CPU inside :func:`all_cpus`.
+"""Numpy's threads: OpenBLAS on one, plus one pinned worker for large inference calls.
 
-A client step multiplies matrices too small for OpenBLAS to split, yet numpy
-starts a pool of one thread per CPU, and after each threaded product the pool's
-workers spin and compete with the main thread. The package imports this module
-first, so it can load numpy with ``OPENBLAS_NUM_THREADS=1``: no pool starts.
-No result depends on the thread count.
+Imported first, this module loads numpy with ``OPENBLAS_NUM_THREADS=1``, as numpy's
+default pool spins against client steps too small to split. :func:`halves` gives
+inference the second CPU through a worker pinned to one usable CPU (unpinned, it wakes
+on its waker's CPU, and the halves run in turn); both halves run on one-thread
+OpenBLAS, so no bit depends on the CPU count.
 """
 
-from __future__ import annotations
-
-import ctypes
 import os
 import sys
-from contextlib import contextmanager
+import threading
 from importlib.util import find_spec
 from pathlib import Path
 
 
-def _own_threads():
-    """OpenBLAS's ``set_num_threads`` once numpy has loaded it on one thread, else None.
-
-    The count is the package's only when numpy is not loaded yet, the user has
-    not set ``OPENBLAS_NUM_THREADS`` and numpy's wheel bundles OpenBLAS; the
-    variable is removed again once numpy is loaded, so child processes do not
-    inherit it.
-    """
+def _own_threads() -> bool:
+    """Load numpy with OpenBLAS on one thread if the count can be the package's; say if it did."""
     if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
-        return None
+        return False
     spec = find_spec("numpy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    bundle = Path(spec.submodule_search_locations[0]).parent / "numpy.libs"
-    libraries = sorted(bundle.glob("*openblas*"))
-    if not libraries:
-        return None
+    places = spec.submodule_search_locations if spec else None
+    if not places or not any((Path(places[0]).parent / "numpy.libs").glob("*openblas*")):
+        return False
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401  OpenBLAS reads the variable once, as numpy loads it
     finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-    for lib in libraries:
+        del os.environ["OPENBLAS_NUM_THREADS"]  # so child processes do not inherit it
+    return True
+
+
+OWNED = _own_threads()
+_claim = threading.Lock()  # held by the thread whose halves the worker computes
+_worker = None  # (pid, start, done, slot) once this process's worker runs
+
+
+def _serve(start, done, slot: list) -> None:
+    """Pin to one usable CPU, then run each task left in ``slot``; a failed one leaves its error."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    while start.acquire():
         try:
-            blas = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(blas, symbol):
-                setter = getattr(blas, symbol)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
-    return None
+            slot.pop()()  # so no reference to the task outlives the call
+        except BaseException as error:  # the caller raises it
+            slot.append(error)
+        done.release()
 
 
-_set_threads = _own_threads()
+def halves(first, second) -> None:
+    """Call ``first`` here and ``second`` on the worker; return, or raise once, when both stop.
 
-
-@contextmanager
-def all_cpus():
-    """Run the body with OpenBLAS on every usable CPU, and on one again after it.
-
-    Does nothing when the package does not own the thread count.
+    Both run here, in turn, without an owned thread count, a second usable CPU or a free worker.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if _set_threads is None or (cpus or 1) < 2:
-        yield
-        return
-    _set_threads(cpus)
+    global _worker
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if not (OWNED and (usable or 1) > 1 and _claim.acquire(blocking=False)):
+        first()
+        return second()
     try:
-        yield
+        # Put back once idle: after a wait cut short, say by Ctrl-C, the next call starts another.
+        worker, _worker = _worker, None
+        if worker is None or worker[0] != os.getpid():  # none yet, or the parent's before a fork
+            worker = (os.getpid(), threading.Lock(), threading.Lock(), [])
+            worker[1].acquire()
+            worker[2].acquire()
+            threading.Thread(target=_serve, args=worker[1:], name="fedsem", daemon=True).start()
+        _, start, done, slot = worker
+        slot.append(second)
+        start.release()
+        try:
+            first()
+        except BaseException:  # the caller's error wins once the worker has stopped
+            done.acquire()
+            _worker = worker
+            slot.clear()
+            raise
+        done.acquire()
+        _worker = worker
+        if slot:
+            raise slot.pop()
     finally:
-        _set_threads(1)
+        _claim.release()

@@ -21,12 +21,12 @@ client alone.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from ._blas import all_cpus
+from ._blas import halves
 from .data import _choice, _freeze, _frozen, _integer, _real
 from .errors import ConfigError, ShapeError, TrainingDivergence
 
@@ -230,20 +230,27 @@ def _each_block(params: ModelParams, x: np.ndarray, rows: np.ndarray, consume) -
     overwrites. Each block gathers its input rows into one buffer, and the
     layers run over blocks of :func:`_block_rows` rows in one buffer per
     layer. The last block ends at the last row, overlapping the one before
-    it, so every gemm has the same row count. A call of more than one
-    block runs OpenBLAS on every usable CPU (see :mod:`fedsem._blas`).
+    it, so every gemm has the same row count. With more than one block, each
+    is two row halves, the second on :func:`fedsem._blas.halves`'s worker;
+    ``consume`` runs once both have finished.
     """
     dims, n = params.layer_dims, len(rows)
     size = min(n, _block_rows(dims))
     outs = [np.empty((size, d)) for d in dims[1:]]
     gathered = np.empty((size, dims[0]))
-    with all_cpus() if n > size else nullcontext():
-        for start in range(0, n, size or 1):
-            block = slice(min(start, n - size), min(start, n - size) + size)
-            # On rows in [-len(x), len(x)) "wrap" equals indexing, and unlike "raise"
-            # it writes into ``gathered`` without a temporary.
-            block_x = np.take(x, rows[block], axis=0, out=gathered, mode="wrap")
-            consume(block, _forward((params.weights, params.biases), block_x, outs))
+
+    def run(begin: int, lo: int, hi: int) -> None:
+        # On rows in [-len(x), len(x)) "wrap" equals indexing and, unlike "raise", needs no copy.
+        np.take(x, rows[begin + lo : begin + hi], axis=0, out=gathered[lo:hi], mode="wrap")
+        _forward((params.weights, params.biases), gathered[lo:hi], [z[lo:hi] for z in outs])
+
+    for start in range(0, n, size or 1):
+        begin = min(start, n - size)
+        if n > size:
+            halves(partial(run, begin, 0, size // 2), partial(run, begin, size // 2, size))
+        else:
+            run(begin, 0, size)
+        consume(slice(begin, begin + size), outs[-1])
 
 
 def forward(params: ModelParams, inputs, rows=None) -> np.ndarray:

@@ -1,30 +1,42 @@
-"""OpenBLAS threads: who owns the count, when it rises, and that no bit depends on it.
+"""Threads: who owns OpenBLAS's count, the inference worker, and that no bit depends on either.
 
-Each case runs in a fresh interpreter, because the package decides ownership
-once, at its first import, and this test process imported numpy first.
+The ownership cases run in a fresh interpreter, because the package decides
+ownership once, at its first import, and this test process imported numpy
+first. The worker's contract is tested in this process too, with ownership
+patched on: the layers here are narrow, so their bits do not depend on the
+thread count of the OpenBLAS this process loaded.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedsem as fs
+from fedsem import _blas, model
 
 SRC = str(Path(fs.__file__).resolve().parents[1])
 CANONICAL_INI = Path(__file__).resolve().parents[1] / "configs" / "canonical.ini"
 OPENBLAS = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-# Reports the OpenBLAS thread count after import and inside and after
-# single-block, multi-block and failing multi-block forward calls.
+# Reports the OpenBLAS thread count after import, and for each forward call
+# of a single-block, a multi-block and a failing multi-block call one entry
+# [count, half, on the caller] per block half (0 first, 1 second), then the
+# count and the live threads after the call and the CPUs the worker may use.
 PROBE = """
-import ctypes, json, os, sys
+import ctypes, json, os, sys, threading
 if sys.argv[1] == "numpy-first":
     import numpy
 import fedsem
@@ -37,11 +49,12 @@ report = {"variable": os.environ.get("OPENBLAS_NUM_THREADS"), "import": count(),
           "cpus": len(os.sched_getaffinity(0))}
 inner, seen, fail_at = model._forward, [], [None]
 
-def spy(*args):
-    seen.append(count())
+def spy(layers, x, outs):
+    half = int(x.__array_interface__["data"][0] != x.base.__array_interface__["data"][0])
+    seen.append([count(), half, threading.current_thread() is threading.main_thread()])
     if len(seen) == fail_at[0]:
         raise RuntimeError("block failed")
-    return inner(*args)
+    return inner(layers, x, outs)
 
 model._forward = spy
 params = fedsem.init_params((16, 48, 10), seed=0)
@@ -54,8 +67,84 @@ for name, n, fail in [("single", rows, None), ("multi", len(x), None), ("failing
         fedsem.forward(params, x[:n])
     except RuntimeError:
         pass
-    report[name] = {"during": list(seen), "after": count()}
+    report[name] = {"during": sorted(seen), "after": count(),
+                    "threads": sorted(t.name for t in threading.enumerate())}
+report["pinned"] = [len(os.sched_getaffinity(t.native_id))
+                    for t in threading.enumerate() if t.name == "fedsem"]
 print(json.dumps(report))
+"""
+
+# Prints the sha256 of forward's bytes for two stacks of 257-wide layers at
+# 2B+123 rows, after restricting the process to the CPU in argv[1], if any.
+WIDE_FORWARD = """
+import hashlib, os, sys
+if sys.argv[1:]:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+import fedsem
+import numpy as np
+from fedsem import model
+
+for dims in [(32, 257, 10), (32, 257, 257, 10)]:
+    params = fedsem.init_params(dims, seed=0)
+    x = np.random.default_rng(1).standard_normal((2 * model._block_rows(dims) + 123, 32))
+    print(hashlib.sha256(fedsem.forward(params, x).tobytes()).hexdigest())
+"""
+
+# A child forked after a multi-block call makes one itself and exits; an
+# alarm kills it if it hangs.
+FORK = """
+import os, signal, sys
+import fedsem
+import numpy as np
+from fedsem import _blas, model
+
+params = fedsem.init_params((16, 48, 10), seed=0)
+x = np.random.default_rng(0).standard_normal((2 * model._block_rows(params.layer_dims) + 1, 16))
+expected = fedsem.forward(params, x)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    same = np.array_equal(fedsem.forward(params, x), expected)
+    own_worker = _blas._worker is None or _blas._worker[0] == os.getpid()
+    os._exit(0 if same and own_worker else 1)
+_, status = os.waitpid(pid, 0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+# A wait for the worker cut short by a signal raises in the caller; the next
+# multi-block call must not meet the worker still busy with the cut call's half.
+INTERRUPT = """
+import signal, threading, time
+import fedsem
+import numpy as np
+from fedsem import model
+
+params = fedsem.init_params((16, 48, 10), seed=0)
+x = np.random.default_rng(0).standard_normal((2 * model._block_rows(params.layer_dims) + 1, 16))
+expected = fedsem.forward(params, x)
+inner = model._forward
+
+def slow_worker(layers, h, outs):
+    if threading.current_thread() is not threading.main_thread():
+        time.sleep(1.0)
+    return inner(layers, h, outs)
+
+def interrupt(*_):
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGALRM, interrupt)
+model._forward = slow_worker
+signal.setitimer(signal.ITIMER_REAL, 0.3)
+try:
+    fedsem.forward(params, x)
+    raise SystemExit("the call was not interrupted")
+except KeyboardInterrupt:
+    pass
+model._forward = inner
+signal.signal(signal.SIGALRM, signal.SIG_DFL)
+signal.alarm(30)  # ends a hung call
+if not np.array_equal(fedsem.forward(params, x), expected):
+    raise SystemExit("the call after the interrupted one differs")
 """
 
 
@@ -67,17 +156,22 @@ def fresh_env(**variables) -> dict:
     return env
 
 
-def probe(order: str, **variables) -> dict:
+def child(script: str, *args: str, **variables) -> str:
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, order, str(OPENBLAS[0])],
-        env=fresh_env(**variables), check=True, capture_output=True, text=True,
+        [sys.executable, "-c", script, *args], env=fresh_env(**variables),
+        check=True, capture_output=True, text=True, timeout=120,
     )
-    return json.loads(done.stdout)
+    return done.stdout
+
+
+def probe(order: str, **variables) -> dict:
+    return json.loads(child(PROBE, order, str(OPENBLAS[0]), **variables))
 
 
 needs_bundled_openblas = pytest.mark.skipif(
     not OPENBLAS, reason="numpy does not bundle OpenBLAS in numpy.libs"
 )
+needs_two_cpus = pytest.mark.skipif(USABLE_CPUS < 2, reason="needs 2 usable CPUs")
 
 
 @needs_bundled_openblas
@@ -91,13 +185,24 @@ class TestOwnedThreads:
         assert report["import"] == 1
 
     def test_single_block_call_keeps_one_thread(self, report):
-        assert report["single"] == {"during": [1], "after": 1}
+        assert report["single"]["during"] == [[1, 0, True]]
+        assert report["single"]["after"] == 1
+        assert report["single"]["threads"] == ["MainThread"]
 
-    def test_multi_block_call_runs_on_every_usable_cpu(self, report):
-        assert report["multi"] == {"during": [report["cpus"]] * 3, "after": 1}
+    def test_multi_block_call_keeps_one_thread(self, report):
+        assert {entry[0] for entry in report["multi"]["during"]} == {1}
+        assert len(report["multi"]["during"]) == 6
+        assert report["multi"]["after"] == 1
 
-    def test_failing_block_still_restores_one_thread(self, report):
-        assert report["failing"] == {"during": [report["cpus"]] * 2, "after": 1}
+    def test_second_half_runs_on_the_worker(self, report):
+        worker = report["cpus"] > 1
+        assert report["multi"]["during"] == [[1, 0, True]] * 3 + [[1, 1, not worker]] * 3
+        assert report["multi"]["threads"] == ["MainThread", "fedsem"][: 1 + worker]
+        assert report["pinned"] == [1] * worker
+
+    def test_failing_half_keeps_one_thread(self, report):
+        assert report["failing"]["during"] == sorted([[1, 0, True], [1, 1, report["cpus"] < 2]])
+        assert report["failing"]["after"] == 1
 
 
 @needs_bundled_openblas
@@ -111,14 +216,28 @@ def test_count_untouched_when_not_owned(order, variables):
     report = probe(order, **variables)
     assert report["variable"] == variables.get("OPENBLAS_NUM_THREADS")
     start = report["import"]
-    assert report["single"] == {"during": [start], "after": start}
-    assert report["multi"] == {"during": [start] * 3, "after": start}
-    assert report["failing"] == {"during": [start] * 2, "after": start}
+    assert report["single"]["during"] == [[start, 0, True]]
+    assert report["multi"]["during"] == [[start, 0, True]] * 3 + [[start, 1, True]] * 3
+    assert report["failing"]["during"] == [[start, 0, True], [start, 1, True]]
+    for case in ("single", "multi", "failing"):
+        assert report[case]["after"] == start
+        assert report[case]["threads"] == ["MainThread"]
+    assert report["pinned"] == []
+
+
+@needs_bundled_openblas
+@needs_two_cpus
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_wide_layer_bits_do_not_depend_on_usable_cpus():
+    one_cpu = child(WIDE_FORWARD, str(min(os.sched_getaffinity(0))))
+    assert one_cpu == child(WIDE_FORWARD)
+    assert len(one_cpu.split()) == 2
 
 
 def test_multi_block_run_bits_do_not_depend_on_threads(tmp_path):
     # CI's "blocked" row: 6,000 evaluation rows and 19,200 hidden rows span
-    # several forward blocks, so an owned count rises to every usable CPU.
+    # several forward blocks, so an owned count hands each block's second half
+    # to the worker.
     outputs = {}
     for setting in (None, "1", "2"):
         out = tmp_path / f"threads-{setting}"
@@ -133,3 +252,123 @@ def test_multi_block_run_bits_do_not_depend_on_threads(tmp_path):
     assert set(outputs[None]) >= {"result.json", "history.csv"}
     assert outputs["1"] == outputs[None]
     assert outputs["2"] == outputs[None]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_forked_child_runs_a_multi_block_call():
+    child(FORK)
+
+
+@needs_bundled_openblas
+@needs_two_cpus
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no signal.setitimer")
+def test_call_after_an_interrupted_wait_is_whole():
+    child(INTERRUPT)
+
+
+@pytest.fixture
+def owned(monkeypatch):
+    """This process's worker switched on, with a model and a three-block input."""
+    monkeypatch.setattr(_blas, "OWNED", True)
+    params = fs.init_params((16, 48, 10), seed=0)
+    x = np.random.default_rng(0).standard_normal((2 * model._block_rows(params.layer_dims) + 1, 16))
+    return params, x
+
+
+def on_caller() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", ["caller", "worker", "both"])
+def test_failing_half_raises_once_after_the_other_stops(owned, monkeypatch, failing):
+    params, x = owned
+    expected = fs.forward(params, x)
+    inner, events = model._forward, []
+
+    def spy(layers, h, outs):
+        side = "caller" if on_caller() else "worker"
+        if failing in (side, "both"):
+            events.append(f"{side} raised")
+            raise RuntimeError(side)
+        time.sleep(0.05)
+        result = inner(layers, h, outs)
+        events.append(f"{side} done")
+        return result
+
+    monkeypatch.setattr(model, "_forward", spy)
+    with pytest.raises(RuntimeError, match="caller" if failing == "both" else failing):
+        fs.forward(params, x)
+    other = {"caller": ["worker done"], "worker": ["caller done"], "both": []}[failing]
+    assert sorted(events) == sorted([f"{side} raised" for side in ("caller", "worker")
+                                     if failing in (side, "both")] + other)
+    assert _blas._worker[3] == [] and not _blas._claim.locked()
+    monkeypatch.setattr(model, "_forward", inner)
+    np.testing.assert_array_equal(fs.forward(params, x), expected)
+
+
+def test_concurrent_callers_get_serial_results(owned):
+    params, x = owned
+    inputs = [x, x[::-1].copy(), x[: len(x) - 5], x[7:]]
+    expected = [fs.forward(params, a) for a in inputs]
+    start, results = threading.Barrier(2), {}
+
+    def call(k: int) -> None:
+        start.wait()
+        for i in range(k, 4 * 3, 2):
+            results[i] = fs.forward(params, inputs[i % 4])
+
+    threads = [threading.Thread(target=call, args=(k,), daemon=True) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(12))
+    for i, got in results.items():
+        np.testing.assert_array_equal(got, expected[i % 4])
+
+
+def test_caller_without_the_worker_computes_both_halves(owned, monkeypatch):
+    params, x = owned
+    inner, sides = model._forward, []
+
+    def spy(layers, h, outs):
+        sides.append(on_caller())
+        return inner(layers, h, outs)
+
+    expected = fs.forward(params, x)
+    monkeypatch.setattr(model, "_forward", spy)
+    with _blas._claim:  # another thread has the worker
+        got = fs.forward(params, x)
+    assert sides == [True] * 6
+    np.testing.assert_array_equal(got, expected)
+
+
+class HalfFailed(RuntimeError):
+    """A failure that, unlike RuntimeError itself, takes a weak reference."""
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", [False, True])
+def test_worker_keeps_nothing_of_a_call(owned, monkeypatch, failing):
+    params, x = owned
+    inner, errors = model._forward, []
+
+    def spy(layers, h, outs):
+        if failing and not on_caller():
+            raise HalfFailed("worker half failed")
+        return inner(layers, h, outs)
+
+    monkeypatch.setattr(model, "_forward", spy)
+    x = x.copy()
+    inputs = weakref.ref(x)
+    try:
+        fs.forward(params, x)
+    except HalfFailed as error:
+        errors.append(weakref.ref(error))
+    del x
+    gc.collect()
+    assert inputs() is None
+    assert len(errors) == failing and all(ref() is None for ref in errors)
+    assert _blas._worker[3] == []
