@@ -1,15 +1,14 @@
-"""Numpy's threads: OpenBLAS on one, plus one pinned worker for large inference calls.
+"""Numpy's threads: OpenBLAS on one, plus one short-lived thread per large inference block half.
 
 Imported first, this module loads numpy with ``OPENBLAS_NUM_THREADS=1``, as numpy's
 default pool spins against client steps too small to split. :func:`halves` gives
-inference the second CPU through a worker pinned to one usable CPU (unpinned, it wakes
-on its waker's CPU, and the halves run in turn); both halves run on one-thread
-OpenBLAS, so no bit depends on the CPU count.
+inference the second CPU through a thread started for one block half; both halves run on
+one-thread OpenBLAS, so no bit depends on the CPU count.
 """
 
+import _thread
 import os
 import sys
-import threading
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -31,53 +30,34 @@ def _own_threads() -> bool:
 
 
 OWNED = _own_threads()
-_claim = threading.Lock()  # held by the thread whose halves the worker computes
-_worker = None  # (pid, start, done, slot) once this process's worker runs
-
-
-def _serve(start, done, slot: list) -> None:
-    """Pin to one usable CPU, then run each task left in ``slot``; a failed one leaves its error."""
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    while start.acquire():
-        try:
-            slot.pop()()  # so no reference to the task outlives the call
-        except BaseException as error:  # the caller raises it
-            slot.append(error)
-        done.release()
 
 
 def halves(first, second) -> None:
-    """Call ``first`` here and ``second`` on the worker; return, or raise once, when both stop.
+    """Call ``first`` here and ``second`` on a new thread; return, or raise once, when both stop.
 
-    Both run here, in turn, without an owned thread count, a second usable CPU or a free worker.
+    The caller's error wins. Both run here, in turn, without an owned thread count or a
+    second usable CPU. The thread comes from ``_thread``, as ``threading.Thread.start``
+    waits until the new thread runs, a handshake that cost 6% of a scaled ``evaluate``.
     """
-    global _worker
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if not (OWNED and (usable or 1) > 1 and _claim.acquire(blocking=False)):
+    if not (OWNED and (usable or 1) > 1):
         first()
         return second()
-    try:
-        # Put back once idle: after a wait cut short, say by Ctrl-C, the next call starts another.
-        worker, _worker = _worker, None
-        if worker is None or worker[0] != os.getpid():  # none yet, or the parent's before a fork
-            worker = (os.getpid(), threading.Lock(), threading.Lock(), [])
-            worker[1].acquire()
-            worker[2].acquire()
-            threading.Thread(target=_serve, args=worker[1:], name="fedsem", daemon=True).start()
-        _, start, done, slot = worker
-        slot.append(second)
-        start.release()
+    done, failed = _thread.allocate_lock(), []
+    done.acquire()
+
+    def run() -> None:
         try:
-            first()
-        except BaseException:  # the caller's error wins once the worker has stopped
-            done.acquire()
-            _worker = worker
-            slot.clear()
-            raise
-        done.acquire()
-        _worker = worker
-        if slot:
-            raise slot.pop()
+            second()
+        except BaseException as error:  # the caller raises it
+            failed.append(error)
+        finally:
+            done.release()
+
+    _thread.start_new_thread(run, ())
+    try:
+        first()
     finally:
-        _claim.release()
+        done.acquire()
+    if failed:
+        raise failed.pop()

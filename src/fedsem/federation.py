@@ -289,16 +289,16 @@ def fedavg_run(
     _integer("rounds", n_rounds, 0)
     if start is None:
         start = ServerState(initial_params(config, dataset), round=0)
-    if not n_rounds:
-        return start
-    params, new = start.global_params, []
     shards = sorted(shards, key=lambda s: s.client_id)
     if len(shards) != config.num_clients:
         raise ConfigError(f"{len(shards)} shards for num_clients = {config.num_clients}")
-    test_rows = _evaluation_rows(shards)
     for prev, shard in zip(shards, shards[1:]):
         if prev.client_id == shard.client_id:
             raise ConfigError(f"two shards with client id {shard.client_id}")
+    if not n_rounds:
+        return start
+    params, new = start.global_params, []
+    test_rows = _evaluation_rows(shards)
     for index in range(start.round, start.round + n_rounds):
         cohort = []
         rng = np.random.default_rng(derive_seed(config.master_seed, index))

@@ -231,8 +231,8 @@ def _each_block(params: ModelParams, x: np.ndarray, rows: np.ndarray, consume) -
     layers run over blocks of :func:`_block_rows` rows in one buffer per
     layer. The last block ends at the last row, overlapping the one before
     it, so every gemm has the same row count. With more than one block, each
-    is two row halves, the second on :func:`fedsem._blas.halves`'s worker;
-    ``consume`` runs once both have finished.
+    is two row halves, the second on a thread :func:`fedsem._blas.halves`
+    starts for it; ``consume`` runs once both have finished.
     """
     dims, n = params.layer_dims, len(rows)
     size = min(n, _block_rows(dims))

@@ -1,10 +1,13 @@
-"""Threads: who owns OpenBLAS's count, the inference worker, and that no bit depends on either.
+"""Threads: who owns OpenBLAS's count, the inference half threads, and that no bit depends on them.
 
 The ownership cases run in a fresh interpreter, because the package decides
 ownership once, at its first import, and this test process imported numpy
-first. The worker's contract is tested in this process too, with ownership
-patched on: the layers here are narrow, so their bits do not depend on the
-thread count of the OpenBLAS this process loaded.
+first. The contract of :func:`fedsem._blas.halves` is tested in this process
+too, with ownership patched on: the layers here are narrow, so their bits do
+not depend on the thread count of the OpenBLAS this process loaded. The
+second half runs on a thread from ``_thread``, which ``threading`` knows
+nothing of, so the spies tell it from the caller by ``threading.get_ident()``:
+``threading.current_thread()`` would register a dummy thread for it.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") e
 # Reports the OpenBLAS thread count after import, and for each forward call
 # of a single-block, a multi-block and a failing multi-block call one entry
 # [count, half, on the caller] per block half (0 first, 1 second), then the
-# count and the live threads after the call and the CPUs the worker may use.
+# count and the threads after the call: those threading knows, and the
+# number of the process's tasks beyond those before the call once they stop
+# (polled for up to 1 s; None without /proc/self/task).
 PROBE = """
-import ctypes, json, os, sys, threading
+import ctypes, json, os, sys, threading, time
 if sys.argv[1] == "numpy-first":
     import numpy
 import fedsem
@@ -48,10 +53,11 @@ count = getattr(blas, "scipy_openblas_get_num_threads64_", None) or blas.openbla
 report = {"variable": os.environ.get("OPENBLAS_NUM_THREADS"), "import": count(),
           "cpus": len(os.sched_getaffinity(0))}
 inner, seen, fail_at = model._forward, [], [None]
+caller = threading.get_ident()
 
 def spy(layers, x, outs):
     half = int(x.__array_interface__["data"][0] != x.base.__array_interface__["data"][0])
-    seen.append([count(), half, threading.current_thread() is threading.main_thread()])
+    seen.append([count(), half, threading.get_ident() == caller])
     if len(seen) == fail_at[0]:
         raise RuntimeError("block failed")
     return inner(layers, x, outs)
@@ -60,17 +66,25 @@ model._forward = spy
 params = fedsem.init_params((16, 48, 10), seed=0)
 rows = model._block_rows(params.layer_dims)
 x = np.zeros((2 * rows + 1, 16))
+
+def tasks():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
 for name, n, fail in [("single", rows, None), ("multi", len(x), None), ("failing", len(x), 2)]:
     seen.clear()
     fail_at[0] = fail
+    before = tasks()
     try:
         fedsem.forward(params, x[:n])
     except RuntimeError:
         pass
-    report[name] = {"during": sorted(seen), "after": count(),
-                    "threads": sorted(t.name for t in threading.enumerate())}
-report["pinned"] = [len(os.sched_getaffinity(t.native_id))
-                    for t in threading.enumerate() if t.name == "fedsem"]
+    after = count()
+    deadline = time.monotonic() + 1.0
+    while before is not None and tasks() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    report[name] = {"during": sorted(seen), "after": after,
+                    "threads": sorted(t.name for t in threading.enumerate()),
+                    "new tasks": None if before is None else tasks() - before}
 print(json.dumps(report))
 """
 
@@ -96,7 +110,7 @@ FORK = """
 import os, signal, sys
 import fedsem
 import numpy as np
-from fedsem import _blas, model
+from fedsem import model
 
 params = fedsem.init_params((16, 48, 10), seed=0)
 x = np.random.default_rng(0).standard_normal((2 * model._block_rows(params.layer_dims) + 1, 16))
@@ -104,15 +118,13 @@ expected = fedsem.forward(params, x)
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)
-    same = np.array_equal(fedsem.forward(params, x), expected)
-    own_worker = _blas._worker is None or _blas._worker[0] == os.getpid()
-    os._exit(0 if same and own_worker else 1)
+    os._exit(0 if np.array_equal(fedsem.forward(params, x), expected) else 1)
 _, status = os.waitpid(pid, 0)
 sys.exit(os.waitstatus_to_exitcode(status))
 """
 
-# A wait for the worker cut short by a signal raises in the caller; the next
-# multi-block call must not meet the worker still busy with the cut call's half.
+# A wait for the second half cut short by a signal raises in the caller; the
+# next multi-block call must be whole while the cut call's half still runs.
 INTERRUPT = """
 import signal, threading, time
 import fedsem
@@ -122,10 +134,10 @@ from fedsem import model
 params = fedsem.init_params((16, 48, 10), seed=0)
 x = np.random.default_rng(0).standard_normal((2 * model._block_rows(params.layer_dims) + 1, 16))
 expected = fedsem.forward(params, x)
-inner = model._forward
+inner, caller = model._forward, threading.get_ident()
 
-def slow_worker(layers, h, outs):
-    if threading.current_thread() is not threading.main_thread():
+def slow_second(layers, h, outs):
+    if threading.get_ident() != caller:
         time.sleep(1.0)
     return inner(layers, h, outs)
 
@@ -133,7 +145,7 @@ def interrupt(*_):
     raise KeyboardInterrupt
 
 signal.signal(signal.SIGALRM, interrupt)
-model._forward = slow_worker
+model._forward = slow_second
 signal.setitimer(signal.ITIMER_REAL, 0.3)
 try:
     fedsem.forward(params, x)
@@ -194,11 +206,16 @@ class TestOwnedThreads:
         assert len(report["multi"]["during"]) == 6
         assert report["multi"]["after"] == 1
 
-    def test_second_half_runs_on_the_worker(self, report):
-        worker = report["cpus"] > 1
-        assert report["multi"]["during"] == [[1, 0, True]] * 3 + [[1, 1, not worker]] * 3
-        assert report["multi"]["threads"] == ["MainThread", "fedsem"][: 1 + worker]
-        assert report["pinned"] == [1] * worker
+    def test_second_half_runs_on_another_thread(self, report):
+        threaded = report["cpus"] > 1
+        assert report["multi"]["during"] == [[1, 0, True]] * 3 + [[1, 1, not threaded]] * 3
+        assert report["multi"]["threads"] == ["MainThread"]
+
+    @pytest.mark.parametrize("case", ["multi", "failing"])
+    def test_no_thread_outlives_a_call(self, report, case):
+        if report[case]["new tasks"] is None:
+            pytest.skip("no /proc/self/task")
+        assert report[case]["new tasks"] == 0
 
     def test_failing_half_keeps_one_thread(self, report):
         assert report["failing"]["during"] == sorted([[1, 0, True], [1, 1, report["cpus"] < 2]])
@@ -222,7 +239,6 @@ def test_count_untouched_when_not_owned(order, variables):
     for case in ("single", "multi", "failing"):
         assert report[case]["after"] == start
         assert report[case]["threads"] == ["MainThread"]
-    assert report["pinned"] == []
 
 
 @needs_bundled_openblas
@@ -237,7 +253,7 @@ def test_wide_layer_bits_do_not_depend_on_usable_cpus():
 def test_multi_block_run_bits_do_not_depend_on_threads(tmp_path):
     # CI's "blocked" row: 6,000 evaluation rows and 19,200 hidden rows span
     # several forward blocks, so an owned count hands each block's second half
-    # to the worker.
+    # to a thread of its own.
     outputs = {}
     for setting in (None, "1", "2"):
         out = tmp_path / f"threads-{setting}"
@@ -268,7 +284,7 @@ def test_call_after_an_interrupted_wait_is_whole():
 
 @pytest.fixture
 def owned(monkeypatch):
-    """This process's worker switched on, with a model and a three-block input."""
+    """This process's per-half threads switched on, with a model and a three-block input."""
     monkeypatch.setattr(_blas, "OWNED", True)
     params = fs.init_params((16, 48, 10), seed=0)
     x = np.random.default_rng(0).standard_normal((2 * model._block_rows(params.layer_dims) + 1, 16))
@@ -276,18 +292,18 @@ def owned(monkeypatch):
 
 
 def on_caller() -> bool:
-    return threading.current_thread() is threading.main_thread()
+    return threading.get_ident() == threading.main_thread().ident
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("failing", ["caller", "worker", "both"])
+@pytest.mark.parametrize("failing", ["caller", "thread", "both"])
 def test_failing_half_raises_once_after_the_other_stops(owned, monkeypatch, failing):
     params, x = owned
     expected = fs.forward(params, x)
     inner, events = model._forward, []
 
     def spy(layers, h, outs):
-        side = "caller" if on_caller() else "worker"
+        side = "caller" if on_caller() else "thread"
         if failing in (side, "both"):
             events.append(f"{side} raised")
             raise RuntimeError(side)
@@ -299,10 +315,9 @@ def test_failing_half_raises_once_after_the_other_stops(owned, monkeypatch, fail
     monkeypatch.setattr(model, "_forward", spy)
     with pytest.raises(RuntimeError, match="caller" if failing == "both" else failing):
         fs.forward(params, x)
-    other = {"caller": ["worker done"], "worker": ["caller done"], "both": []}[failing]
-    assert sorted(events) == sorted([f"{side} raised" for side in ("caller", "worker")
+    other = {"caller": ["thread done"], "thread": ["caller done"], "both": []}[failing]
+    assert sorted(events) == sorted([f"{side} raised" for side in ("caller", "thread")
                                      if failing in (side, "both")] + other)
-    assert _blas._worker[3] == [] and not _blas._claim.locked()
     monkeypatch.setattr(model, "_forward", inner)
     np.testing.assert_array_equal(fs.forward(params, x), expected)
 
@@ -329,35 +344,19 @@ def test_concurrent_callers_get_serial_results(owned):
         np.testing.assert_array_equal(got, expected[i % 4])
 
 
-def test_caller_without_the_worker_computes_both_halves(owned, monkeypatch):
-    params, x = owned
-    inner, sides = model._forward, []
-
-    def spy(layers, h, outs):
-        sides.append(on_caller())
-        return inner(layers, h, outs)
-
-    expected = fs.forward(params, x)
-    monkeypatch.setattr(model, "_forward", spy)
-    with _blas._claim:  # another thread has the worker
-        got = fs.forward(params, x)
-    assert sides == [True] * 6
-    np.testing.assert_array_equal(got, expected)
-
-
 class HalfFailed(RuntimeError):
     """A failure that, unlike RuntimeError itself, takes a weak reference."""
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("failing", [False, True])
-def test_worker_keeps_nothing_of_a_call(owned, monkeypatch, failing):
+def test_halves_keep_nothing_of_a_call(owned, monkeypatch, failing):
     params, x = owned
     inner, errors = model._forward, []
 
     def spy(layers, h, outs):
         if failing and not on_caller():
-            raise HalfFailed("worker half failed")
+            raise HalfFailed("second half failed")
         return inner(layers, h, outs)
 
     monkeypatch.setattr(model, "_forward", spy)
@@ -371,4 +370,3 @@ def test_worker_keeps_nothing_of_a_call(owned, monkeypatch, failing):
     gc.collect()
     assert inputs() is None
     assert len(errors) == failing and all(ref() is None for ref in errors)
-    assert _blas._worker[3] == []

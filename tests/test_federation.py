@@ -411,22 +411,24 @@ class TestRunFedavg:
         with pytest.raises(ValueError, match="no test indices"):
             fs.run_fedavg(config, unsplit, dataset, rounds=1)
 
-    def test_shards_sharing_a_client_id_rejected(self):
+    @pytest.mark.parametrize("rounds", [None, 0], ids=["configured", "zero"])
+    def test_shards_sharing_a_client_id_rejected(self, rounds):
         # Keeping one shard per id would silently never train the other's rows.
         masked, shards = tiny_pipeline(num_clients=4)
         shards[1] = dataclasses.replace(shards[1], client_id=0)
         config = tiny_federation(num_clients=4, clients_per_round=4)
         with pytest.raises(ConfigError, match="^two shards with client id 0$"):
-            fs.run_fedavg(config, shards, masked)
+            fs.run_fedavg(config, shards, masked, rounds=rounds)
 
+    @pytest.mark.parametrize("rounds", [None, 0], ids=["configured", "zero"])
     @pytest.mark.parametrize("count, num_clients", [(4, 6), (6, 4)], ids=["fewer", "more"])
-    def test_shard_count_other_than_num_clients_rejected(self, count, num_clients):
+    def test_shard_count_other_than_num_clients_rejected(self, count, num_clients, rounds):
         # Every round would otherwise draw from the shards it has, not the clients it names.
         masked, shards = tiny_pipeline(num_clients=count)
         config = tiny_federation(num_clients=num_clients, clients_per_round=3)
         message = f"^{count} shards for num_clients = {num_clients}$"
         with pytest.raises(ConfigError, match=message):
-            fs.run_fedavg(config, shards, masked)
+            fs.run_fedavg(config, shards, masked, rounds=rounds)
 
     def test_bit_identical_reruns(self):
         masked, shards = tiny_pipeline()
