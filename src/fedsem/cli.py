@@ -76,17 +76,18 @@ def _prepare_data(config: ExperimentConfig):
 
 def _payload(config: ExperimentConfig, result) -> dict:
     """The result payload of a fedsem ``ExperimentResult`` or a fedavg ``ServerState``."""
-    fed = config.federation
+    fed, history = config.federation, result.history
     common = {
         "clients": fed.num_clients,
         "clients_per_round": fed.clients_per_round,
+        "final_test_accuracy": history[-1].test_accuracy if history else None,
+        "final_test_loss": history[-1].test_loss if history else None,
         "labeled_fraction": config.labels.labeled_fraction,
         "local_epochs": fed.local_epochs,
         "rounds": fed.rounds,
     }
-    history = result.history
     if config.fedsem is not None:
-        payload = dict(
+        return dict(
             common,
             mode="fedsem",
             labeled_percent=config.labels.labeled_fraction * 100.0,
@@ -96,21 +97,15 @@ def _payload(config: ExperimentConfig, result) -> dict:
             accuracy_phase2=result.accuracy_phase2,
             gain=result.gain,
             pseudo_label_accuracy=result.pseudo_label_accuracy,
-            final_test_accuracy=history[-1].test_accuracy,
-            final_test_loss=history[-1].test_loss,
             model_phase1_sha256=_params_digest(result.model_phase1),
             model_phase2_sha256=_params_digest(result.model_phase2),
         )
-    else:
-        payload = dict(
-            common,
-            mode="fedavg",
-            best_accuracy=max(r.test_accuracy for r in history) if history else None,
-            final_test_accuracy=history[-1].test_accuracy if history else None,
-            final_test_loss=history[-1].test_loss if history else None,
-            model_sha256=_params_digest(result.global_params),
-        )
-    return payload
+    return dict(
+        common,
+        mode="fedavg",
+        best_accuracy=max(r.test_accuracy for r in history) if history else None,
+        model_sha256=_params_digest(result.global_params),
+    )
 
 
 def _write_outputs(out_dir: Path, config: ExperimentConfig, result) -> tuple[dict, str]:

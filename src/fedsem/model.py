@@ -141,10 +141,9 @@ class Batch:
             raise ShapeError(
                 f"batch has {inputs.shape[0]} input rows but {targets.shape[0]} target rows"
             )
-        if targets.size:
-            binary = ((targets == 0.0) | (targets == 1.0)).all()
-            if not binary or not (targets.sum(axis=1) == 1.0).all():
-                raise ValueError("targets must be one-hot rows (one 1, rest 0)")
+        binary = ((targets == 0.0) | (targets == 1.0)).all()
+        if not binary or not (targets.sum(axis=1) == 1.0).all():
+            raise ValueError("targets must be one-hot rows (one 1, rest 0)")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 

@@ -356,6 +356,34 @@ class TestRun:
         assert payload["mode"] == "fedavg"
         assert "best_accuracy" in payload
 
+    @pytest.mark.parametrize(
+        "fedsem, rounds, mode_keys",
+        [
+            (True, 4, [
+                "accuracy_phase1", "accuracy_phase2", "gain", "labeled_percent",
+                "model_phase1_sha256", "model_phase2_sha256", "phase1_rounds", "phase2_rounds",
+                "pseudo_label_accuracy",
+            ]),
+            (False, 4, ["best_accuracy", "model_sha256"]),
+            (False, 0, ["best_accuracy", "model_sha256"]),
+        ],
+        ids=["fedsem", "fedavg", "fedavg-zero-rounds"],
+    )
+    def test_result_keys(self, tmp_path, fedsem, rounds, mode_keys):
+        text = BASE_CONFIG.format(out=tmp_path / "o")
+        path = tmp_path / "c.ini"
+        path.write_text(text if fedsem else text.replace("[fedsem]\n", ""))
+        args = ["run", "--config", str(path), "--quiet", "--override", f"federation.rounds={rounds}"]
+        assert main(args) == 0
+        payload = json.loads((tmp_path / "o" / "result.json").read_text())
+        common = [
+            "clients", "clients_per_round", "final_test_accuracy", "final_test_loss",
+            "labeled_fraction", "local_epochs", "mode", "rounds",
+        ]
+        assert sorted(payload) == sorted(common + mode_keys)
+        finals = [payload["final_test_accuracy"], payload["final_test_loss"]]
+        assert (finals == [None, None]) == (rounds == 0)
+
     def test_zero_round_fedavg_writes_strict_json(self, tmp_path, capsys):
         path = tmp_path / "avg.ini"
         path.write_text(BASE_CONFIG.format(out=tmp_path / "avg-out").replace("[fedsem]\n", ""))

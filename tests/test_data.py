@@ -92,18 +92,41 @@ class TestGenerateSynthetic:
 
 class TestCsv:
     def test_two_row_file(self, tmp_path):
+        # Spreadsheet tools often begin a UTF-8 file with a byte-order mark.
         path = tmp_path / "tiny.csv"
-        path.write_text("1.5,-2.0,0\n0.25,3.5,1\n")
-        ds = fs.load_csv(path, num_classes=2)
-        np.testing.assert_array_equal(ds.features, [[1.5, -2.0], [0.25, 3.5]])
-        np.testing.assert_array_equal(ds.labels, [0, 1])
-        assert ds.label_visible.all()
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + b"1.5,-2.0,0\n0.25,3.5,1\n")
+            ds = fs.load_csv(path, num_classes=2)
+            np.testing.assert_array_equal(ds.features, [[1.5, -2.0], [0.25, 3.5]])
+            np.testing.assert_array_equal(ds.labels, [0, 1])
+            assert ds.label_visible.all()
 
     def test_header_skipped(self, tmp_path):
+        # The header is the first non-blank row, also after blank lines or a mark.
         path = tmp_path / "h.csv"
-        path.write_text("f1,f2,label\n1.0,2.0,1\n")
-        ds = fs.load_csv(path, num_classes=2, has_header=True)
-        assert ds.n_samples == 1
+        for before in ("", "\n", "\ufeff\n\n"):
+            path.write_text(before + "f1,f2,label\n1.0,2.0,1\n", encoding="utf-8")
+            ds = fs.load_csv(path, num_classes=2, has_header=True)
+            assert ds.features.tolist() == [[1.0, 2.0]] and ds.labels.tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.0,2.0,0\n1.0,0\n", "line 2: expected 3 columns, got 2"),
+            ("\n\n1.0,2.0,0\n3.0,4.0,1\n5.0,1\n", "line 5: expected 3 columns, got 2"),
+            ("1.0,2.0,0\n3.0,4.0,1,1\n", "line 2: expected 3 columns, got 4"),
+            ("1\n0\n", "line 1: rows need at least one feature and a label"),
+            ("\n1\n", "line 2: rows need at least one feature and a label"),
+        ],
+        ids=["short-row", "ragged-last-row", "long-row", "one-column", "one-column-after-blank"],
+    )
+    def test_column_count_messages(self, tmp_path, text, message):
+        # The first data row sets the column count that every later row must have.
+        path = tmp_path / "cols.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError) as caught:
+            fs.load_csv(path, num_classes=2)
+        assert str(caught.value) == message
 
     def test_out_of_range_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -390,6 +413,16 @@ class TestMaskLabels:
         assert ds.label_visible.all()
         assert not masked.label_visible.all()
 
+    @pytest.mark.parametrize("mode", fs.data.MASK_MODES)
+    def test_shard_without_training_rows_changes_nothing(self, mode):
+        ds = fs.generate_synthetic(24, 2, 4, 2.0, seed=1)
+        held = fs.ClientShard(1, train_indices=np.arange(4, 20), test_indices=np.arange(20, 24))
+        empty = fs.ClientShard(0, train_indices=np.empty(0, np.int64), test_indices=np.arange(4))
+        masked = fs.mask_labels(ds, [empty, held], 0.5, mode, seed=0)
+        alone = fs.mask_labels(ds, [held], 0.5, mode, seed=0)
+        assert masked.label_visible.tobytes() == alone.label_visible.tobytes()
+        assert masked.label_visible[:4].all() and masked.label_visible[4:20].sum() == 8
+
 
 class TestDatasetArrays:
     def sample(self, n=30):
@@ -479,14 +512,19 @@ class TestDatasetArrays:
 
     @pytest.mark.parametrize("row", [0, 4, 5, 9, 10])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_in_any_scan_block_rejected(self, monkeypatch, row, value):
-        # Blocks of 3 rows of 4 values: rows 0-2, 3-5, 6-8 and the partial 9-10.
-        monkeypatch.setattr(fs.data, "SCAN_VALUES", 12)
+    def test_non_finite_value_anywhere_rejected(self, row, value):
         features, labels, visible = self.sample(n=11)
         fs.Dataset(features, labels, visible, 3)
         features[row, 3] = value
         with pytest.raises(ConfigError, match="non-finite"):
             fs.Dataset(features, labels, visible, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (11, 0)])
+    def test_empty_feature_matrix_accepted(self, shape):
+        # min and max of an empty matrix raise unless given an initial value.
+        n = shape[0]
+        ds = fs.Dataset(np.zeros(shape), np.zeros(n, np.int64), np.ones(n, bool), 3)
+        assert ds.features.shape == shape
 
     def test_replace_holds_no_feature_sized_mask(self):
         ds = fs.generate_synthetic(100_000, 10, 32, 4.0, seed=0)

@@ -145,6 +145,16 @@ class TestBackward:
         with pytest.raises(ShapeError):
             fs.backward(params, batch)
 
+    @pytest.mark.parametrize(
+        "targets",
+        [np.zeros((3, 0)), np.zeros((2, 2)), np.ones((2, 2)), np.array([[0.5, 0.5]])],
+        ids=["no-columns", "no-one", "two-ones", "soft"],
+    )
+    def test_targets_must_be_one_hot_rows(self, targets):
+        # A row with no columns holds no 1, so it is not one-hot either.
+        with pytest.raises(ValueError, match=r"^targets must be one-hot rows \(one 1, rest 0\)$"):
+            fs.Batch(np.zeros((targets.shape[0], 4)), targets)
+
 
 def scalar_params(value: float) -> fs.ModelParams:
     return fs.ModelParams((1, 1), (np.array([[value]]),), (np.array([value]),))
