@@ -225,12 +225,7 @@ def cmd_sweep(args) -> int:
                 dataset, shards = _prepare_data(cells[slug])
                 runs.append(fedsem_run(cells[slug].fedsem, shards, dataset))
             stage = f"cells {', '.join(group)}"
-            try:
-                results = run_lockstep(runs)
-            except Exception as exc:
-                if hasattr(exc, "run"):
-                    stage = f"cell {group[exc.run]}"
-                raise
+            results = run_lockstep(runs)
             for slug, result in zip(group, results):
                 stage, config = f"cell {slug}", cells[slug]
                 payload, _ = _write_outputs(out_root / "cells" / slug, config, result)
@@ -245,6 +240,8 @@ def cmd_sweep(args) -> int:
         stage = "writing sweep.csv"
         write_text(out_root / "sweep.csv", "\n".join([SWEEP_HEADER] + rows) + "\n")
     except Exception as exc:
+        if hasattr(exc, "run"):
+            stage = f"cell {group[exc.run]}"
         return _failure(stage, exc)
     if not args.quiet:
         print(f"sweep table in {out_root / 'sweep.csv'} ({len(rows)} cells)")

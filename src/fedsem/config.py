@@ -200,9 +200,9 @@ def build_config(raw: dict[str, dict[str, str]]) -> ExperimentConfig:
 def load_config(path, overrides=(), seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
     """Read, override, and validate an experiment file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     seeded = [] if seed is None else [f"federation.master_seed={seed}"]
     placed = [] if out_dir is None else [f"output.directory={out_dir}"]

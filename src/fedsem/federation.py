@@ -8,13 +8,12 @@ one lockstep :func:`~fedsem.model.train_local` call per round.
 
 A run is a generator over its rounds; :func:`fedavg_run` is the one round
 loop, and the phase runs of :mod:`fedsem.protocol` wrap it. :func:`run_lockstep`
-drives one or many runs; stacked runs share each round's ``train_local``
+drives one or many runs; stacked runs share each round's :func:`client_round`
 call, and every blocking entry point here is the one-run case.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
 
@@ -112,58 +111,56 @@ class Cohort:
     phase: str = "phase1"
 
 
-def _setting(cohort: Cohort) -> tuple:
-    """What cohorts must share to train in one :func:`train_local` call."""
-    fed = cohort.config
-    return (
-        cohort.global_params.layer_dims, fed.local_epochs, fed.batch_size, fed.learning_rate,
-        fed.solver,
-    )
-
-
 def client_round(cohorts: Sequence[Cohort]) -> list[list[ClientUpdate]]:
     """Local training of one round's cohorts; pure in all inputs.
 
-    The cohorts must share a :func:`_setting`. All their clients' rows are
-    gathered into one batch and trained by one lockstep :func:`train_local`
-    call, each client from its cohort's global parameters and with the seed
+    The cohorts are grouped by training setting: layer dims, local epochs,
+    batch size, learning rate and solver. Each group's clients are gathered
+    into one batch and trained by one lockstep :func:`train_local` call,
+    each client from its cohort's global parameters and with the seed
     ``derive_seed(master_seed, round_index, client_id)`` of its cohort's
-    config and round. The updates come back per cohort, in client order. A
-    divergence re-raises as :class:`TrainingDivergence` naming the client
-    id, the cohort's index, and its phase and round.
+    config and round. The updates come back per cohort, in cohort and client
+    order. A divergence re-raises as :class:`TrainingDivergence` naming the
+    client id, the cohort's index in ``cohorts``, and its phase and round.
     """
-    clients = [(j, shard, view) for j, c in enumerate(cohorts) for shard, view in c.clients]
-    rows = [np.concatenate([view for _, view in c.clients]) for c in cohorts]
-    fed, classes = cohorts[0].config, cohorts[0].global_params.layer_dims[-1]
-    batch = Batch(
-        inputs=_freeze(np.concatenate([c.dataset.features[r] for c, r in zip(cohorts, rows)])),
-        targets=_freeze(one_hot(
-            np.concatenate([c.dataset.labels[r] for c, r in zip(cohorts, rows)]), classes
-        )),
-    )
-    try:
-        trained = train_local(
-            [cohorts[j].global_params for j, _, _ in clients],
-            batch,
-            epochs=fed.local_epochs,
-            batch_size=fed.batch_size,
-            lr=fed.learning_rate,
-            solver=fed.solver,
-            rng_seed=[
-                derive_seed(cohorts[j].config.master_seed, cohorts[j].round_index, s.client_id)
-                for j, s, _ in clients
-            ],
-            sizes=[v.size for _, _, v in clients],
+    groups: dict[tuple, list[int]] = {}
+    for j, c in enumerate(cohorts):
+        f = c.config
+        key = (c.global_params.layer_dims, f.local_epochs, f.batch_size, f.learning_rate, f.solver)
+        groups.setdefault(key, []).append(j)
+    updates = [[] for _ in cohorts]
+    for members in groups.values():
+        group = [cohorts[j] for j in members]
+        clients = [(j, shard, view) for j in members for shard, view in cohorts[j].clients]
+        rows = [np.concatenate([view for _, view in c.clients]) for c in group]
+        fed, classes = group[0].config, group[0].global_params.layer_dims[-1]
+        batch = Batch(
+            inputs=_freeze(np.concatenate([c.dataset.features[r] for c, r in zip(group, rows)])),
+            targets=_freeze(one_hot(
+                np.concatenate([c.dataset.labels[r] for c, r in zip(group, rows)]), classes
+            )),
         )
-    except TrainingDivergence as exc:
-        j, shard, _ = clients[exc.client]
-        where = f"{cohorts[j].phase}, round {cohorts[j].round_index}, client {shard.client_id}: "
-        raise TrainingDivergence(exc.step, shard.client_id, j, where) from None
-    updates = iter(
-        ClientUpdate(client_id=s.client_id, params=p, num_samples=int(v.size))
-        for (_, s, v), p in zip(clients, trained)
-    )
-    return [list(itertools.islice(updates, len(c.clients))) for c in cohorts]
+        try:
+            trained = train_local(
+                [cohorts[j].global_params for j, _, _ in clients],
+                batch,
+                epochs=fed.local_epochs,
+                batch_size=fed.batch_size,
+                lr=fed.learning_rate,
+                solver=fed.solver,
+                rng_seed=[
+                    derive_seed(cohorts[j].config.master_seed, cohorts[j].round_index, s.client_id)
+                    for j, s, _ in clients
+                ],
+                sizes=[v.size for _, _, v in clients],
+            )
+        except TrainingDivergence as exc:
+            j, s, _ = clients[exc.client]
+            where = f"{cohorts[j].phase}, round {cohorts[j].round_index}, client {s.client_id}: "
+            raise TrainingDivergence(exc.step, s.client_id, j, where) from None
+        for (j, s, v), p in zip(clients, trained):
+            updates[j].append(ClientUpdate(s.client_id, p, int(v.size)))
+    return updates
 
 
 def run_lockstep(runs: Sequence[Generator]) -> list:
@@ -171,19 +168,20 @@ def run_lockstep(runs: Sequence[Generator]) -> list:
 
     A run is a generator that yields the :class:`Cohort` of each round it
     trains and is sent back that cohort's updates. Each tick trains every
-    pending cohort, one :func:`client_round` call per :func:`_setting`, so
-    runs stack while they last and a finished run leaves the stack. Each
-    run's result is bit-identical to driving it alone. The first failure
-    ends every run and propagates; when it came from one run, raised by the
-    run itself or a divergence of its clients, its attribute ``run`` is
-    that run's index.
+    pending cohort in one :func:`client_round` call, so runs stack while
+    they last and a finished run leaves the stack. Each run's result is
+    bit-identical to driving it alone. A divergence is raised inside the
+    run whose cohort diverged, at its ``yield``. The first failure that
+    leaves a run ends every run and propagates, its attribute ``run`` set
+    to that run's index.
     """
     results = [None] * len(runs)
     pending: dict[int, Cohort] = {}
 
-    def advance(i: int, updates) -> None:
+    def advance(i: int, step: Callable, value) -> None:
+        pending.pop(i, None)
         try:
-            pending[i] = runs[i].send(updates)
+            pending[i] = step(value)
         except StopIteration as done:
             results[i] = done.value
         except Exception as exc:
@@ -191,19 +189,17 @@ def run_lockstep(runs: Sequence[Generator]) -> list:
             raise
 
     for i in range(len(runs)):
-        advance(i, None)
+        advance(i, runs[i].send, None)
     while pending:
-        groups: dict[tuple, list[int]] = {}
-        for i, cohort in pending.items():
-            groups.setdefault(_setting(cohort), []).append(i)
-        for members in groups.values():
-            try:
-                updates = client_round([pending.pop(i) for i in members])
-            except TrainingDivergence as exc:
-                exc.run = members[exc.cohort]
-                raise
-            for i, run_updates in zip(members, updates):
-                advance(i, run_updates)
+        ticking = list(pending)
+        try:
+            updates = client_round([pending[i] for i in ticking])
+        except TrainingDivergence as exc:
+            i = ticking[exc.cohort]
+            advance(i, runs[i].throw, exc)
+            continue
+        for i, run_updates in zip(ticking, updates):
+            advance(i, runs[i].send, run_updates)
     return results
 
 

@@ -394,7 +394,7 @@ def train_local(
     the stack. The stack is cut into chunks of :data:`STACK_CLIENTS`
     clients, and each step runs the gradient once per contiguous run of a
     chunk's clients whose batches have equal rows, then steps the chunk; the
-    gradient, solver scratch and layer buffers hold one chunk. A
+    gradient and solver scratch hold one chunk, the layer outputs one such run. A
     diverging cohort reports its earliest bad step and the first client
     that diverged at it. One client is the same code with ``C = 1``.
     """
@@ -461,20 +461,16 @@ def _lockstep(models, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
     moments = (np.zeros_like(flat), np.zeros_like(flat)) if solver == "adam" else None
     # Sgd scales the gradient in place; adam needs two arrays of its own.
     scratch = grad[None] if moments is None else np.empty((2, *grad.shape))
-    # One buffer per layer, big enough for the widest chunk; each piece views its front.
-    widest = min(batch_size, int(n[0]))
-    work = [np.empty(chunk * widest * d) for d in dims[1:]]
-    arange = np.arange(widest)
+    arange = np.arange(min(batch_size, int(n[0])))
     # A diverging step is reported by the finiteness check, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (alive, edges) in enumerate(zip(live, runs)):
             for a, b in zip(edges, [*edges[1:], alive]):
                 r, c = rows[a, k], a - a % STACK_CLIENTS  # c: the chunk's first client
                 picked = order[starts[a:b, k, None] + arange[:r]]
-                outs = [w[: (b - a) * r * d].reshape(b - a, r, d) for w, d in zip(work, dims[1:])]
                 _gradient(
                     _slice(layers, a, b), inputs[picked], targets[picked],
-                    _slice(grads, a - c, b - c), outs,
+                    _slice(grads, a - c, b - c), [np.empty((b - a, r, d)) for d in dims[1:]],
                 )
                 if b == alive or b % STACK_CLIENTS == 0:  # the chunk's last piece: step it
                     step_moments = None if moments is None else tuple(m[c:b] for m in moments)

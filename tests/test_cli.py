@@ -136,6 +136,16 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert "federation.rounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "seed=1,2"]])
+    def test_non_utf8_config_exit_2(self, write_config, tmp_path, capsys, command):
+        path = write_config()
+        path.write_bytes(b"# caf\xe9\n" + path.read_bytes())
+        assert main([*command, "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file: 'utf-8' codec ")
+        assert "byte 0xe9" in err and err.count("\n") == 1
+        assert not (tmp_path / "run-out").exists()
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "typo.ini"
         path.write_text("[federation]\nrounds = 4\nlearning_rte = 0.1\n")

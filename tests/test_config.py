@@ -267,6 +267,18 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = REPO_ROOT / "configs" / "canonical.ini"
+        marked = tmp_path / "marked.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_config(marked) == load_config(plain)
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"# caf\xe9\n" + MINIMAL.encode())
+        with pytest.raises(ConfigError, match="^cannot read config file: 'utf-8' codec"):
+            load_config(path)
+
 
 class TestParsedConfig:
     @pytest.mark.parametrize("name", list(EXPECTED))

@@ -189,6 +189,57 @@ class TestClientRound:
         )
         assert err.client in [s.client_id for s, _ in cohorts[first].clients]
 
+    def test_cohorts_of_different_settings_each_train_with_their_own(self):
+        masked, shards = tiny_pipeline(labeled_fraction=0.5)
+        params = fs.init_params((4, 6, 3), seed=4)
+        cohorts = [
+            cohort_of(shards[:3], masked, params, tiny_federation(local_epochs=1), 1),
+            cohort_of(shards[3:], masked, params, tiny_federation(local_epochs=5), 1),
+        ]
+        together = fs.client_round(cohorts)
+        for cohort, updates in zip(cohorts, together):
+            (alone,) = fs.client_round([cohort])
+            assert [u.client_id for u in updates] == [s.client_id for s, _ in cohort.clients]
+            for update, solo in zip(updates, alone):
+                assert update.num_samples == solo.num_samples
+                assert params_equal(update.params, solo.params)
+
+
+def recording(run, caught):
+    """``run``, noting each exception raised into or out of it before re-raising it."""
+    try:
+        return (yield from run)
+    except Exception as exc:
+        caught.append(exc)
+        raise
+
+
+class TestRunLockstep:
+    def test_divergence_is_raised_inside_its_own_run(self):
+        masked, shards = tiny_pipeline()
+        healthy = tiny_federation()
+        diverging = tiny_federation(learning_rate=1e3, local_epochs=30, batch_size=2)
+        caught = [[], []]
+        runs = [
+            recording(fs.fedavg_run(config, shards, masked), seen)
+            for config, seen in zip([healthy, diverging], caught)
+        ]
+        with pytest.raises(fs.TrainingDivergence) as err:
+            fs.run_lockstep(runs)
+        assert err.value.run == 1
+        assert caught == [[], [err.value]]
+
+    def test_round_failure_names_its_run(self):
+        masked, shards = tiny_pipeline()
+        nothing = dataclasses.replace(
+            masked, label_visible=np.zeros(masked.n_samples, dtype=bool)
+        )
+        config = tiny_federation()
+        runs = [fs.fedavg_run(config, shards, masked), fs.fedavg_run(config, shards, nothing)]
+        with pytest.raises(RoundFailure) as err:
+            fs.run_lockstep(runs)
+        assert err.value.run == 1
+
 
 def scalar_update(client_id, value, num_samples):
     params = fs.ModelParams((1, 1), (np.array([[value]]),), (np.array([value]),))
