@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from .config import ExperimentConfig, _cast_tuple, load_config
-from .data import generate_synthetic, load_csv, mask_labels, partition, save_csv
+from .data import TRAIN_RATIO, generate_synthetic, load_csv, mask_labels, partition, save_csv
 from .data import split_train_test, write_text
 from .errors import ConfigError
 from .federation import run_fedavg, run_lockstep
@@ -31,7 +31,6 @@ from .metrics import export_history, render_summary
 from .model import STACK_CLIENTS
 from .protocol import fedsem_run, run_fedsem
 
-TRAIN_RATIO = 0.8
 SWEEP_AXES = {
     "labeled_fraction": ("labels", "labeled_fraction"),
     "epochs": ("federation", "local_epochs"),
@@ -55,6 +54,7 @@ def _params_digest(params) -> str:
 
 
 def _prepare_data(config: ExperimentConfig):
+    """The config's client shards and label-masked dataset, in the order runs take them."""
     ds_cfg = config.dataset
     if ds_cfg.source == "synthetic":
         dataset = generate_synthetic(
@@ -71,7 +71,7 @@ def _prepare_data(config: ExperimentConfig):
         config.labels.mask_mode,
         config.labels.mask_seed,
     )
-    return masked, shards
+    return shards, masked
 
 
 def _payload(config: ExperimentConfig, result) -> dict:
@@ -157,7 +157,7 @@ def cmd_run(args) -> int:
     stage = "data setup"
     try:
         started = time.perf_counter()
-        dataset, shards = _prepare_data(config)
+        shards, dataset = _prepare_data(config)
         stage = "training"
         if config.fedsem is not None:
             result = run_fedsem(config.fedsem, shards, dataset)
@@ -213,26 +213,26 @@ def cmd_sweep(args) -> int:
         if config in cells.values():
             raise ConfigError(f"sweep cell {slug} repeated: same experiment as an earlier cell")
         cells[slug] = config
+
+    def cell_run(slug: str):
+        """One cell as a run: its data, its training and its files; returns its payload."""
+        config = cells[slug]
+        result = yield from fedsem_run(config.fedsem, *_prepare_data(config))
+        return _write_outputs(out_root / "cells" / slug, config, result)[0]
+
     # Consecutive cells train in lockstep, about STACK_CLIENTS clients per round.
     size = -(-STACK_CLIENTS // base.federation.clients_per_round)
     slugs = list(cells)
     rows: list[str] = []
     try:
         for start in range(0, len(slugs), size):
-            group, runs = slugs[start : start + size], []
-            for slug in group:
-                stage = f"cell {slug}"
-                dataset, shards = _prepare_data(cells[slug])
-                runs.append(fedsem_run(cells[slug].fedsem, shards, dataset))
+            group = slugs[start : start + size]
             stage = f"cells {', '.join(group)}"
-            results = run_lockstep(runs)
-            for slug, result in zip(group, results):
-                stage, config = f"cell {slug}", cells[slug]
-                payload, _ = _write_outputs(out_root / "cells" / slug, config, result)
+            for slug, payload in zip(group, run_lockstep([cell_run(slug) for slug in group])):
                 gain = "" if payload["gain"] is None else f"{payload['gain']:.6f}"
                 rows.append(
                     f"{payload['labeled_percent']:g},{payload['rounds']},{payload['local_epochs']},"
-                    f"{config.federation.master_seed},{payload['accuracy_phase1']:.6f},"
+                    f"{cells[slug].federation.master_seed},{payload['accuracy_phase1']:.6f},"
                     f"{payload['accuracy_phase2']:.6f},{gain}"
                 )
                 if not args.quiet:

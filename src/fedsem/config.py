@@ -19,8 +19,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 
-from .data import MASK_MODES, PartitionSpec, _choice, _integer, _real
-from .errors import ConfigError
+from .data import MASK_MODES, PartitionSpec
+from .errors import ConfigError, _choice, _integer, _real
 from .federation import FederationConfig
 from .metrics import HISTORY_FORMATS
 from .protocol import FedSemConfig

@@ -12,19 +12,18 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import numbers
-import operator
 import os
 import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, CsvParseError
+from .errors import ConfigError, CsvParseError, _choice, _integer, _real
 from .seeding import derive_seed
 
 PARTITION_SCHEMES = ("iid", "shards", "dirichlet")
 MASK_MODES = ("per_client", "global")
+TRAIN_RATIO = 0.8  # each client's share of training samples; the rest is its test set
 
 
 # Arrays this package made read-only itself, by id. No caller holds a writable
@@ -56,38 +55,6 @@ def _frozen(arr, dtype, name: str) -> np.ndarray:
     if integral and not np.array_equal(copy, arr):
         raise ConfigError(f"{name}: casting to {copy.dtype} would change some values")
     return _freeze(copy)
-
-
-def _integer(name: str, value, low: int, high: int | None = None) -> int:
-    """``value`` as an ``int``, if it has ``__index__`` (no float does) and is in [low, high]."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if high is not None and not low <= value <= high:
-        raise ConfigError(f"{name} must be in [{low}, {high}], got {value}")
-    if value < low:
-        bound = "non-negative" if low == 0 else f">= {low}"
-        raise ConfigError(f"{name} must be {bound}, got {value}")
-    return int(value)
-
-
-def _choice(name: str, value, options) -> None:
-    """Reject ``value`` unless it is one of ``options``."""
-    if value not in options:
-        raise ConfigError(f"{name} must be one of {options}, got {value!r}")
-
-
-def _real(name: str, value, interval: str) -> None:
-    """Reject ``value`` unless it is a finite real number in ``interval``, such as ``"(0, 1]"``."""
-    low, high = map(float, interval[1:-1].split(","))
-    if not (
-        isinstance(value, numbers.Real)
-        and math.isfinite(value)
-        and (low < value or (interval[0] == "[" and low == value))
-        and (value < high or (interval[-1] == "]" and value == high))
-    ):
-        raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,7 +295,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
                 f"shards scheme needs at least {num_shards} samples, got {n}"
             )
         # Stable label sort, then deal whole contiguous shards to clients.
-        by_label = np.lexsort((np.arange(n), dataset.labels))
+        by_label = np.argsort(dataset.labels, kind="stable")
         chunks = np.array_split(by_label, num_shards)
         dealt = rng.permutation(num_shards)
         allocations = [
@@ -367,11 +334,12 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[ClientShard]:
 
 def split_train_test(
     shards: list[ClientShard],
-    ratio: float = 0.8,
+    ratio: float = TRAIN_RATIO,
     seed: int = 0,
 ) -> list[ClientShard]:
     """Per-client seeded shuffle and split; test gets floor((1-ratio)*n), min 1."""
     _real("ratio", ratio, "(0, 1)")
+    _integer("seed", seed, 0)
     out = []
     for shard in shards:
         allocation = shard.all_indices
@@ -411,6 +379,7 @@ def mask_labels(
     """
     _real("labeled_fraction", labeled_fraction, "(0, 1]")
     _choice("mask mode", mode, MASK_MODES)
+    _integer("seed", seed, 0)
     visible = np.array(dataset.label_visible, copy=True)
 
     def keep(rng: np.random.Generator, train: np.ndarray) -> None:
@@ -422,7 +391,7 @@ def mask_labels(
     if mode == "per_client":
         for shard in shards:
             keep(np.random.default_rng(derive_seed(seed, shard.client_id)), shard.train_indices)
-    else:
+    elif shards:  # global: over no shards, as per client, nothing is hidden
         all_train = np.sort(np.concatenate([s.train_indices for s in shards]))
         keep(np.random.default_rng(derive_seed(seed)), all_train)
     return replace(dataset, label_visible=_freeze(visible))

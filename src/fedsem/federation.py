@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard, Dataset, _choice, _freeze, _frozen, _integer, _real, one_hot
+from .data import ClientShard, Dataset, _freeze, _frozen, one_hot
 from .errors import ConfigError, RoundFailure, ShapeError, TrainingDivergence
+from .errors import _choice, _integer, _real
 from .metrics import RoundRecord
 from .model import (
     Batch,
@@ -239,10 +240,10 @@ def aggregate(updates, scheme: str = "sample_weighted") -> ModelParams:
 
 def _evaluation_rows(shards) -> np.ndarray:
     """The sorted union of all client test indices."""
-    indices = np.sort(np.concatenate([s.test_indices for s in shards]))
-    if indices.size == 0:
+    parts = [s.test_indices for s in shards]
+    if not any(p.size for p in parts):
         raise ValueError("no test indices; split shards before running rounds")
-    return indices
+    return np.sort(np.concatenate(parts))
 
 
 def evaluation_batch(shards, dataset: Dataset) -> Batch:

@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .data import _choice, _integer, write_text
+from .data import write_text
+from .errors import _choice, _integer
 
 PHASES = ("phase1", "phase2")
 HISTORY_HEADER = "round,phase,test_accuracy,test_loss,participants"

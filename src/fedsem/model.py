@@ -27,8 +27,8 @@ from functools import partial
 import numpy as np
 
 from ._blas import halves
-from .data import _choice, _freeze, _frozen, _integer, _real
-from .errors import ConfigError, ShapeError, TrainingDivergence
+from .data import _freeze, _frozen
+from .errors import ConfigError, ShapeError, TrainingDivergence, _choice, _integer, _real
 
 PROB_FLOOR = 1e-12
 SOLVERS = ("sgd", "adam")
@@ -282,18 +282,29 @@ def _check_batch(params: ModelParams, batch: Batch) -> np.ndarray:
     return _check_inputs(params, batch.inputs)
 
 
+def _check_dataset(params: ModelParams, dataset) -> np.ndarray:
+    """The dataset's features, once its class count and width fit the model."""
+    if dataset.num_classes != params.layer_dims[-1]:
+        raise ShapeError(
+            f"dataset has {dataset.num_classes} classes but the model outputs "
+            f"{params.layer_dims[-1]}"
+        )
+    return _check_inputs(params, dataset.features)
+
+
 def loss(params: ModelParams, batch: Batch) -> float:
     """Mean softmax cross-entropy; probabilities floored at 1e-12 before log."""
     return evaluate(params, batch)[1]
 
 
-def _gradient(layers, x, targets, grads, outs: list) -> None:
-    """Write the mean cross-entropy gradient into the ``grads`` views; overwrites ``outs``.
+def _gradient(layers, x, targets, grads) -> None:
+    """Write the mean cross-entropy gradient into the ``grads`` views; layer outputs are fresh.
 
     Every array is stacked: ``x`` is ``(C, rows, d)``, one batch per parameter
     vector, and ``grads`` are :func:`_views` of a ``(C, P)`` array.
     """
     (weights, _), (grad_w, grad_b) = layers, grads
+    outs = [np.empty((*x.shape[:-1], w.shape[-1])) for w in weights]
     delta = _forward(layers, x, outs)
     delta -= targets
     delta /= x.shape[-2]
@@ -312,9 +323,8 @@ def backward(params: ModelParams, batch: Batch) -> ModelParams:
     """Analytic gradient of :func:`loss`, returned with the parameter layout."""
     x = _check_batch(params, batch)
     dims, grad = params.layer_dims, np.empty((1, params.num_params))
-    outs = [np.empty((1, len(x), d)) for d in dims[1:]]
     layers = _views(dims, params.vector[None])
-    _gradient(layers, x[None], batch.targets[None], _views(dims, grad), outs)
+    _gradient(layers, x[None], batch.targets[None], _views(dims, grad))
     return ModelParams.unflatten(dims, _freeze(grad))
 
 
@@ -468,10 +478,8 @@ def _lockstep(models, inputs, targets, sizes, seeds, epochs, batch_size, lr, sol
             for a, b in zip(edges, [*edges[1:], alive]):
                 r, c = rows[a, k], a - a % STACK_CLIENTS  # c: the chunk's first client
                 picked = order[starts[a:b, k, None] + arange[:r]]
-                _gradient(
-                    _slice(layers, a, b), inputs[picked], targets[picked],
-                    _slice(grads, a - c, b - c), [np.empty((b - a, r, d)) for d in dims[1:]],
-                )
+                piece_grads = _slice(grads, a - c, b - c)
+                _gradient(_slice(layers, a, b), inputs[picked], targets[picked], piece_grads)
                 if b == alive or b % STACK_CLIENTS == 0:  # the chunk's last piece: step it
                     step_moments = None if moments is None else tuple(m[c:b] for m in moments)
                     _step(flat[c:b], grad[: b - c], step_moments, k + 1, lr, scratch[:, : b - c])
@@ -498,21 +506,17 @@ def predict(params: ModelParams, inputs) -> np.ndarray:
 def evaluate(params: ModelParams, samples, rows=None) -> tuple[float, float]:
     """(accuracy, mean loss) of ``params`` from one forward pass.
 
-    ``samples`` is a :class:`Batch`, or, with ``rows``, a
-    :class:`~fedsem.data.Dataset` whose rows ``rows`` are scored in place
-    against the labels stored there. A batch is scored the same way, against
-    the argmax of its one-hot targets.
+    ``samples`` is a :class:`Batch`, or, with ``rows``, a :class:`~fedsem.data.Dataset`
+    that :func:`_check_dataset` passes, whose rows ``rows`` are scored in place against
+    the labels stored there. A batch is scored the same way, against the argmax of its
+    one-hot targets.
     """
     classes = params.layer_dims[-1]
     if rows is None:
         _check_batch(params, samples)
         probs, labels = forward(params, samples.inputs), np.argmax(samples.targets, axis=1)
     else:
-        if samples.num_classes != classes:
-            raise ShapeError(
-                f"dataset has {samples.num_classes} classes but the model outputs {classes}"
-            )
-        probs, labels = forward(params, samples.features, rows), samples.labels[rows]
+        probs, labels = forward(params, _check_dataset(params, samples), rows), samples.labels[rows]
         if not labels.size:
             raise ValueError("rows must be non-empty")
         if labels.min() < 0 or labels.max() >= classes:

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, _choice, _freeze, _integer, _real
-from .errors import ShapeError
+from .data import Dataset, _freeze
+from .errors import _choice, _integer, _real
 from .federation import FederationConfig, ServerState, fedavg_run, run_lockstep
 from .metrics import RoundRecord, gain
-from .model import ModelParams, _check_inputs, _each_block
+from .model import ModelParams, _check_dataset, _each_block
 
 PHASE_SWITCH_MODES = ("at_half_rounds", "on_convergence")
 
@@ -136,18 +136,13 @@ def pseudo_label(
     Hidden samples whose top predicted probability reaches ``threshold``
     get that prediction as a visible working label, flagged in
     ``pseudo_mask``; the rest stay hidden and excluded from training.
-    The input dataset (the ground-truth oracle) is never modified.
+    The input dataset, the ground-truth oracle, must fit the model and is never modified.
     """
     _real("threshold", threshold, "[0, 1]")
-    if dataset.num_classes != model_phase1.layer_dims[-1]:
-        raise ShapeError(
-            f"dataset has {dataset.num_classes} classes but the model outputs "
-            f"{model_phase1.layer_dims[-1]}"
-        )
+    features = _check_dataset(model_phase1, dataset)
     hidden = np.flatnonzero(~dataset.label_visible)
     # Each hidden row keeps its top probability and its argmax, block by block.
     confidence, predicted = np.empty(hidden.size), np.empty(hidden.size, dtype=np.int64)
-    features = _check_inputs(model_phase1, dataset.features)
 
     def keep(block, probs):
         np.maximum.reduce(probs, axis=1, out=confidence[block])

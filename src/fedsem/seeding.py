@@ -8,19 +8,12 @@ tuples, and the result depends only on the tuple, never on scheduling.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import ConfigError
+from .errors import _integer
 
 
 def derive_seed(*parts: int) -> int:
-    """Collapse non-negative integer parts into one stable 64-bit seed."""
-    try:
-        entropy = [operator.index(p) for p in parts]
-    except TypeError:
-        raise ConfigError(f"seed parts must be integers, got {parts}") from None
-    if any(p < 0 for p in entropy):
-        raise ConfigError(f"seed parts must be non-negative, got {entropy}")
+    """Collapse non-negative integer parts, each checked as ``seed part``, into one 64-bit seed."""
+    entropy = [_integer("seed part", p, 0) for p in parts]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

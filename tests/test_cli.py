@@ -483,6 +483,32 @@ class TestSweep:
         alone = ["run", "--config", str(CANONICAL_INI), "--quiet", *overrides, "--seed", "4"]
         assert main([*alone, "--out", str(tmp_path / "seed-4")]) == 0
 
+    def test_cell_finished_before_a_group_mate_fails_keeps_its_files(self, tmp_path, capsys):
+        # One lockstep pair: rounds-2 finishes two ticks before rounds-4 diverges.
+        overrides = [
+            "--override", "federation.learning_rate=20", "--override", "federation.solver=sgd",
+        ]
+        out = tmp_path / "sweep-out"
+        code = main([
+            "sweep", "--config", str(CANONICAL_INI), "--out", str(out), "--quiet", *overrides,
+            "--axis", "seed=3", "--axis", "rounds=2,4",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error during cell seed-3_rounds-4: phase2, round 3, client 5: "
+            "step 82: non-finite parameter values\n"
+        )
+        assert [p.name for p in (out / "cells").iterdir()] == ["seed-3_rounds-2"]
+        assert not (out / "sweep.csv").exists()
+        alone = tmp_path / "alone"
+        assert main([
+            "run", "--config", str(CANONICAL_INI), "--out", str(alone), "--quiet", *overrides,
+            "--seed", "3", "--override", "federation.rounds=2",
+        ]) == 0
+        for name in ("result.json", "history.csv"):
+            kept = (out / "cells" / "seed-3_rounds-2" / name).read_bytes()
+            assert kept == (alone / name).read_bytes()
+
     def test_cell_without_gain_leaves_field_empty(self, tmp_path, capsys):
         out = tmp_path / "s"
         assert main(["sweep", *ZERO_ACCURACY, "--axis", "seed=3,4", "--out", str(out)]) == 0

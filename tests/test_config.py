@@ -383,7 +383,12 @@ INTEGER_SETTINGS = [
     ("one_hot-num_classes", "num_classes", lambda v: fs.one_hot([0, 1], v)),
     ("step_count", "step_count", lambda v: fs.OptimizerState("sgd", step_count=v)),
     ("round", "round", lambda v: fs.RoundRecord(v, "phase1", 0.5, 1.0, (0,))),
-    ("derive_seed", "seed parts", lambda v: derive_seed(v, 0)),
+    ("derive_seed", "seed part", lambda v: derive_seed(v, 0)),
+    # Over no shards no stage seed is derived, so the seed is checked where it enters.
+    ("split_train_test-seed", "seed", lambda v: fs.split_train_test([], seed=v)),
+    ("mask_labels-seed", "seed", lambda v: fs.mask_labels(
+        fs.Dataset(np.zeros((2, 2)), [0, 1], [True, True], 2), [], 0.5, seed=v
+    )),
 ]
 
 # Each real setting, as (test id, field, interval, call that sets it to v, values outside).

@@ -423,6 +423,21 @@ class TestMaskLabels:
         assert masked.label_visible.tobytes() == alone.label_visible.tobytes()
         assert masked.label_visible[:4].all() and masked.label_visible[4:20].sum() == 8
 
+    @pytest.mark.parametrize("mode", fs.data.MASK_MODES)
+    def test_no_shards_change_nothing(self, mode):
+        ds = fs.Dataset(np.zeros((4, 2)), [0, 1, 0, 1], [True, False, True, True], 2)
+        masked = fs.mask_labels(ds, [], 0.5, mode, seed=3)
+        assert masked.label_visible.tobytes() == ds.label_visible.tobytes()
+
+    @pytest.mark.parametrize("empty", [True, False], ids=["no-shards", "shards"])
+    def test_bad_seed_named_with_or_without_shards(self, empty):
+        ds, shards, _ = self.pipeline(0.5)
+        shards = [] if empty else shards
+        with pytest.raises(ConfigError, match=r"^seed must be non-negative, got -3$"):
+            fs.mask_labels(ds, shards, 0.5, seed=-3)
+        with pytest.raises(ConfigError, match=r"^seed must be an integer, got 1\.5$"):
+            fs.split_train_test(shards, seed=1.5)
+
 
 class TestDatasetArrays:
     def sample(self, n=30):

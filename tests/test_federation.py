@@ -418,6 +418,11 @@ class TestRunRound:
         assert a.global_params.flatten().tobytes() == b.global_params.flatten().tobytes()
         assert a.history == b.history
 
+    def test_evaluation_batch_of_no_shards_names_the_missing_test_rows(self):
+        masked, _ = tiny_pipeline()
+        with pytest.raises(ValueError, match=r"^no test indices; split shards before running"):
+            fs.evaluation_batch([], masked)
+
     def test_record_scores_the_evaluation_batch(self):
         masked, shards = tiny_pipeline(labeled_fraction=0.5)
         config = tiny_federation()

@@ -70,6 +70,29 @@ class TestPartitionLaws:
         assert np.array_equal(np.sort(combined), np.arange(n))
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 3), min_size=30, max_size=200),
+        k=st.integers(1, 10),
+        per_client=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shards_deal_chunks_of_the_stable_label_order(self, labels, k, per_client, seed):
+        # Python's sort is stable: rows of one label keep their index order.
+        order = np.array(sorted(range(len(labels)), key=labels.__getitem__))
+        chunks = np.array_split(order, k * per_client)
+        chunk_of = np.empty(len(labels), dtype=np.int64)
+        for c, chunk in enumerate(chunks):
+            chunk_of[chunk] = c
+        dataset = fs.Dataset(np.zeros((len(labels), 2)), labels, [True] * len(labels), 4)
+        spec = fs.PartitionSpec("shards", k, shards_per_client=per_client, seed=seed)
+        for shard in fs.partition(dataset, spec):
+            dealt = sorted(set(chunk_of[shard.train_indices].tolist()))
+            assert len(dealt) == per_client
+            expected = np.sort(np.concatenate([chunks[c] for c in dealt]))
+            np.testing.assert_array_equal(shard.train_indices, expected)
+
+
 # Small values make repeats and overlaps common; the int64 extremes test the search's ends.
 indices = st.lists(st.integers(-8, 8) | st.integers(-(2**63), 2**63 - 1), max_size=12)
 
